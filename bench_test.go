@@ -8,6 +8,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/experiments"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
+	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -354,6 +355,40 @@ func BenchmarkSimulator100kBlocksEIP100(b *testing.B) {
 		}
 		if result.RegularCount == 0 || result.Elapsed <= 0 {
 			b.Fatal("degenerate timed run")
+		}
+	}
+	b.ReportMetric(100000, "blocks/op")
+}
+
+func BenchmarkSimulator100kBlocksFig8Alpha045(b *testing.B) {
+	// The costliest Fig. 8 point: alpha 0.45 under the paper's flat Ku and
+	// no uncle depth limit, on a reused Runner. Long races keep uncle
+	// candidates open on most events, so this tracks the chain views and
+	// referencer lists behind the uncle scan and the floor purge.
+	b.ReportAllocs()
+	pop, err := mining.TwoAgent(0.45)
+	if err != nil {
+		b.Fatal(err)
+	}
+	schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rn := sim.NewRunner()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		result, err := rn.Run(sim.Config{
+			Population: pop,
+			Gamma:      0.5,
+			Schedule:   schedule,
+			Blocks:     100000,
+			Seed:       uint64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if result.UncleCount == 0 {
+			b.Fatal("no uncles referenced")
 		}
 	}
 	b.ReportMetric(100000, "blocks/op")

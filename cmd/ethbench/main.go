@@ -46,6 +46,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/experiments"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
+	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -264,10 +265,11 @@ func benchmarks() []benchmark {
 			}
 		}},
 		{name: "sim-100k-blocks-fastforward", run: func(b *testing.B, parallel int) {
-			// The same workload with the analytic fast-forward engaged:
-			// uneventful honest stretches collapse to one geometric draw
-			// plus a bulk append. Gated against sim-100k-blocks-alpha05
-			// in the CI baseline to keep the speedup honest.
+			// The same workload with the analytic fast-forward engaged
+			// (the only knob the pair differs in): uneventful honest
+			// stretches collapse to one geometric draw plus a bulk
+			// append. Gated against sim-100k-blocks-alpha05 in the CI
+			// baseline to keep the speedup honest.
 			pop, err := mining.TwoAgent(0.05)
 			if err != nil {
 				b.Fatal(err)
@@ -281,7 +283,34 @@ func benchmarks() []benchmark {
 					Blocks:      100000,
 					Seed:        uint64(i),
 					FastForward: true,
-					Streaming:   true,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{name: "sim-100k-blocks-fig8-alpha045", run: func(b *testing.B, parallel int) {
+			// The costliest Fig. 8 point: alpha 0.45 under the paper's
+			// flat Ku and no uncle depth limit, where races are long and
+			// every event scans open uncle candidates. Tracks the chain
+			// views and referencer lists behind the uncle scan and the
+			// floor purge.
+			pop, err := mining.TwoAgent(0.45)
+			if err != nil {
+				b.Fatal(err)
+			}
+			schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rn := sim.NewRunner()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rn.Run(sim.Config{
+					Population: pop,
+					Gamma:      0.5,
+					Schedule:   schedule,
+					Blocks:     100000,
+					Seed:       uint64(i),
 				}); err != nil {
 					b.Fatal(err)
 				}

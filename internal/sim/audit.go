@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 )
@@ -24,7 +25,9 @@ import (
 //   - Fork-child candidate set: the incrementally maintained uncle
 //     candidate set matches a brute-force rescan of the candidate window
 //     (same blocks, same heights, same order), with the floor-purge rules
-//     applied from scratch.
+//     applied from scratch; each candidate's referencer list matches the
+//     tree's uncle lists, the referencer arena leaks no node, and every
+//     chain view matches the tree's ancestry.
 //
 // With Audit disabled (the zero Config) none of this code runs and the hot
 // path is untouched. The sampled mode (SampleEvery > 1) keeps the audit
@@ -209,7 +212,9 @@ func onSettledChain(t *chain.Tree, b, floor chain.BlockID) bool {
 // checkForkChildren rebuilds the uncle-candidate set by brute force — a
 // full rescan of the recent window with the floor-purge rules applied from
 // scratch — and requires the incrementally maintained set to match block
-// for block, height for height, in the same (creation) order.
+// for block, height for height, in the same (creation) order. It then
+// rebuilds every candidate's referencer set from the resident tree's uncle
+// lists, and checks the chain views against the tree's ancestry.
 func (a *auditor) checkForkChildren(s *simulator) error {
 	t := s.tree
 	floor := s.floor
@@ -240,10 +245,73 @@ func (a *auditor) checkForkChildren(s *simulator) error {
 		return a.violation("fork-child set has %d candidates, brute-force rescan finds %d (%v vs %v)",
 			len(got), len(expected), got, expected)
 	}
-	for i := range got {
-		if got[i] != expected[i] {
-			return a.violation("fork-child set diverges at entry %d: %+v, brute-force rescan finds %+v",
-				i, got[i], expected[i])
+	for i, c := range got {
+		if c.id != expected[i].id || c.height != expected[i].height || c.parent != t.ParentOf(c.id) {
+			return a.violation("fork-child set diverges at entry %d: %+v, brute-force rescan finds %+v (parent %d)",
+				i, c, expected[i], t.ParentOf(expected[i].id))
+		}
+	}
+	if err := a.checkReferencers(s); err != nil {
+		return err
+	}
+	return a.checkViews(s)
+}
+
+// checkReferencers rebuilds each candidate's referencer list from the uncle
+// lists of every resident block younger than the oldest candidate (a
+// referencer is always younger than its uncle), and requires the arena to
+// hold exactly those references plus its free list.
+func (a *auditor) checkReferencers(s *simulator) error {
+	t, fc := s.tree, s.forkChildren
+	want := make(map[chain.BlockID][]chain.BlockID, len(fc))
+	if len(fc) > 0 {
+		for id := max(fc[0].id+1, t.Base()); int(id) < t.Len(); id++ {
+			for _, u := range t.UnclesOf(id) {
+				want[u] = append(want[u], id)
+			}
+		}
+	}
+	live := 0
+	for _, c := range fc {
+		var have []chain.BlockID
+		for i := c.refs; i != noRef && len(have) <= len(s.refNodes); i = s.refNodes[i].next {
+			if r := s.refNodes[i]; int(r.height) == t.HeightOf(r.id) && (r.next != noRef || i == c.last) {
+				have = append(have, r.id)
+			} else {
+				return a.violation("candidate %d: corrupt referencer node %d %+v", c.id, i, r)
+			}
+		}
+		live += len(have)
+		// Oldest first: the tail is the newest referencer, the one the
+		// tree's reverse index records.
+		if !slices.Equal(have, want[c.id]) || len(have) > 0 && have[len(have)-1] != t.ReferencedBy(c.id) {
+			return a.violation("candidate %d: referencer list %v, tree uncle lists give %v (referenced by %d)",
+				c.id, have, want[c.id], t.ReferencedBy(c.id))
+		}
+	}
+	free := 0
+	for i := s.refFree; i != noRef && free <= len(s.refNodes); i = s.refNodes[i].next {
+		free++
+	}
+	if live+free != len(s.refNodes) {
+		return a.violation("referencer arena: %d live + %d free nodes, arena holds %d",
+			live, free, len(s.refNodes))
+	}
+	return nil
+}
+
+// checkViews verifies every held chain-view entry against the tree's
+// ancestry, walking down from each view's tip while the blocks are resident
+// (a view left behind by an idle viewer may straddle the evicted prefix).
+func (a *auditor) checkViews(s *simulator) error {
+	for vi, v := range append(s.views[:len(s.views):len(s.views)], s.floorView) {
+		b := v.tip
+		for h := v.top; h >= v.lo && s.tree.Contains(b); h-- {
+			if v.at(h) != b || s.tree.HeightOf(b) != h {
+				return a.violation("chain view %d (tip %d): height %d holds %d, tree ancestry gives %d",
+					vi, v.tip, h, v.at(h), b)
+			}
+			b = s.tree.ParentOf(b)
 		}
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
+	"github.com/ethselfish/ethselfish/internal/rng"
 )
 
 // audited returns cfg with the full (every-event) invariant audit enabled.
@@ -114,19 +115,19 @@ func TestAuditSampledSkipsEvents(t *testing.T) {
 	}
 }
 
-// TestAuditCatchesCorruptedForkChildren: corrupt the incremental candidate
-// set behind the engine's back and the next audit must report ErrAudit —
-// the auditor genuinely compares against a brute-force rescan.
-func TestAuditCatchesCorruptedForkChildren(t *testing.T) {
-	cfg := audited(Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 400, Seed: 41}).withDefaults()
+// auditedPrefix runs the first n events of an audited cfg by hand and
+// returns the simulator, ready for a test to corrupt behind the engine's
+// back.
+func auditedPrefix(t *testing.T, cfg Config, n int) *simulator {
+	t.Helper()
+	cfg = audited(cfg).withDefaults()
 	if err := cfg.validate(); err != nil {
 		t.Fatal(err)
 	}
-	var s simulator
+	s := &simulator{}
 	s.init(cfg)
-	// Run a prefix of events by hand, then inject a phantom candidate.
 	pop := cfg.Population
-	for i := 0; i < 50; i++ {
+	for i := 0; i < n; i++ {
 		s.recordState()
 		miner := pop.Sample(s.random)
 		var err error
@@ -135,13 +136,126 @@ func TestAuditCatchesCorruptedForkChildren(t *testing.T) {
 		} else {
 			err = s.honestEvent(miner.ID)
 		}
+		if err == nil {
+			err = s.flushFloor()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	phantom := windowBlock{id: s.tree.Genesis(), height: 0}
+	return s
+}
+
+// TestAuditCatchesCorruptedForkChildren: corrupt the incremental candidate
+// set behind the engine's back and the next audit must report ErrAudit —
+// the auditor genuinely compares against a brute-force rescan.
+func TestAuditCatchesCorruptedForkChildren(t *testing.T) {
+	s := auditedPrefix(t, Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 400, Seed: 41}, 50)
+	phantom := candidate{id: s.tree.Genesis(), parent: -1, height: 0, refs: noRef, last: noRef}
 	s.forkChildren = append(s.forkChildren, phantom)
 	if err := s.auditEvent(50); !errors.Is(err, ErrAudit) {
 		t.Errorf("err = %v, want ErrAudit after corrupting the fork-child set", err)
+	}
+}
+
+// fig8Audited is the costliest Fig. 8 regime for the uncle bookkeeping:
+// alpha 0.45 under a flat Ku with no uncle depth limit, fully audited.
+func fig8Audited(t *testing.T, pop *mining.Population, blocks int) Config {
+	t.Helper()
+	flat, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return audited(Config{Population: pop, Gamma: 0.5, Schedule: flat, Blocks: blocks, Seed: 45})
+}
+
+// TestAuditChainViewsFig8: the full auditor — brute-force fork-child
+// rescan, referencer lists rebuilt from the tree's uncle lists, arena node
+// accounting, and every chain view against the tree's ancestry — passes at
+// every event across the engine modes that move the views differently.
+func TestAuditChainViewsFig8(t *testing.T) {
+	twoPools, err := mining.MultiAgent(0.25, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := fig8Audited(t, twoAgent(t, 0.45), 2000)
+	capped := plain
+	capped.MaxUnclesPerBlock = 2
+	streaming := fig8Audited(t, twoAgent(t, 0.45), 4000)
+	streaming.Streaming = true
+	ffwd := plain
+	ffwd.FastForward = true
+	// Random legal reactions adopt while ahead, which moves a pool's view
+	// down — the only move that rewrites a whole ring.
+	random := fig8Audited(t, twoPools, 2000)
+	random.Strategies = []Strategy{&randomReactor{r: rng.New(1)}, &randomReactor{r: rng.New(2)}}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", plain},
+		{"two pools", fig8Audited(t, twoPools, 2000)},
+		{"capped uncles", capped},
+		{"streaming", streaming},
+		{"fast-forward", ffwd},
+		{"random legal strategies", random},
+	}
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			var rn Runner
+			res, err := rn.Run(tt.cfg)
+			if err != nil {
+				t.Fatalf("full audit failed a clean run: %v", err)
+			}
+			if res.UncleCount == 0 {
+				t.Fatal("no uncles referenced: the referencer lists went unexercised")
+			}
+			if tt.cfg.Streaming && rn.s.tree.Evicted() == 0 {
+				t.Fatal("streaming run never compacted the tree")
+			}
+		})
+	}
+}
+
+// TestAuditCatchesCorruptedViewsAndReferencers: a stale chain-view entry, a
+// dropped referencer, and a leaked arena node each fail the next audit.
+func TestAuditCatchesCorruptedViewsAndReferencers(t *testing.T) {
+	cfg := fig8Audited(t, twoAgent(t, 0.45), 400)
+	corruptions := []struct {
+		name    string
+		corrupt func(t *testing.T, s *simulator)
+	}{
+		{"view entry", func(t *testing.T, s *simulator) {
+			v := &s.views[mining.HonestPool]
+			if v.top == v.lo {
+				t.Skip("honest view holds a single height")
+			}
+			v.ring[v.top&(len(v.ring)-1)] = v.at(v.top - 1)
+		}},
+		{"dropped referencer", func(t *testing.T, s *simulator) {
+			for i := range s.forkChildren {
+				if c := &s.forkChildren[i]; c.refs != noRef {
+					s.releaseRefs(*c)
+					c.refs, c.last = noRef, noRef
+					return
+				}
+			}
+			t.Skip("no referenced candidate")
+		}},
+		{"leaked node", func(t *testing.T, s *simulator) {
+			s.refNodes = append(s.refNodes, refNode{id: s.tree.Genesis(), next: noRef})
+		}},
+	}
+	for _, tt := range corruptions {
+		t.Run(tt.name, func(t *testing.T) {
+			s := auditedPrefix(t, cfg, 200)
+			if err := s.auditEvent(200); err != nil {
+				t.Fatalf("audit failed before corruption: %v", err)
+			}
+			tt.corrupt(t, s)
+			if err := s.auditEvent(200); !errors.Is(err, ErrAudit) {
+				t.Errorf("err = %v, want ErrAudit after corrupting the %s", err, tt.name)
+			}
+		})
 	}
 }

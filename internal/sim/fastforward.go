@@ -155,28 +155,26 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 	parent := s.pubTip
 	at := start
 	drained := 0
-	if len(s.forkChildren) > 0 {
-		// The counter gate is O(1) and usually closes after one drained
-		// block (its references cover the open candidates), sparing the
-		// chain walk a second look.
-		for drained < k && s.referencedInWindow < len(s.forkChildren) {
-			uncles := s.eligibleUncles(parent, mining.HonestPool)
-			if len(uncles) == 0 {
-				break
-			}
-			at += step
-			s.clock = at
-			m := s.ffwdMiner
-			if m < 0 {
-				m = s.cfg.Population.SampleMember(mining.HonestPool, s.random).ID
-			}
-			id, err := s.extend(parent, m, uncles, true)
-			if err != nil {
-				return 0, err
-			}
-			parent = id
-			drained++
+	// The gate — some candidate nobody references yet — usually closes
+	// after one drained block (its references cover the open candidates),
+	// sparing the uncle scan a second look.
+	for drained < k && s.hasUnreferencedCandidate() {
+		uncles := s.eligibleUncles(parent, mining.HonestPool)
+		if len(uncles) == 0 {
+			break
 		}
+		at += step
+		s.clock = at
+		m := s.ffwdMiner
+		if m < 0 {
+			m = s.cfg.Population.SampleMember(mining.HonestPool, s.random).ID
+		}
+		id, err := s.extend(parent, m, uncles, true)
+		if err != nil {
+			return 0, err
+		}
+		parent = id
+		drained++
 	}
 
 	tip := parent

@@ -285,7 +285,10 @@ func (rn *Runner) Reset() {
 	s.recent = s.recent[:0]
 	s.recentHead = 0
 	s.forkChildren = s.forkChildren[:0]
-	s.referencedInWindow = 0
+	s.refNodes = s.refNodes[:0]
+	s.refFree = noRef
+	s.views = s.views[:0]
+	s.floorView.reset(1, chain.NoBlock)
 	for i := range s.pools {
 		s.pools[i].blocks = s.pools[i].blocks[:0]
 		s.pools[i].published = 0
@@ -349,17 +352,39 @@ func settleRun(s *simulator) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("sim: settling: %w", err)
 	}
+	result := s.assemble(settlement.MinerRewards, settlement.MinerSeen,
+		settlement.RegularCount, settlement.UncleCount, settlement.StaleCount, settlement.Tip)
+	for _, ref := range settlement.Refs {
+		if !cfg.Schedule.Referenceable(ref.Distance) {
+			continue
+		}
+		if cfg.Population.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
+			result.PoolUncleDistances.Observe(ref.Distance)
+		} else {
+			result.HonestUncleDistances.Observe(ref.Distance)
+		}
+	}
+	if s.timing {
+		s.timeWindows(&result, settlement.Tip)
+	}
+	return result, nil
+}
 
-	pop := cfg.Population
+// assemble builds the Result fields both settlement paths share from the
+// settled per-miner tallies and block counts, with the chain settled at tip.
+// Summing the dense tallies in miner-ID order keeps the float accumulation
+// order deterministic (the map view has no stable order).
+func (s *simulator) assemble(rewards []chain.Reward, seen []bool, regular, uncles, stale int, tip chain.BlockID) Result {
+	pop := s.cfg.Population
 	result := Result{
 		Alpha:           pop.Alpha(),
-		Blocks:          cfg.Blocks,
+		Blocks:          s.cfg.Blocks,
 		ByPool:          make([]chain.Reward, pop.NumPools()+1),
-		MinerRewards:    settlement.MinerRewards,
-		MinerSeen:       settlement.MinerSeen,
-		RegularCount:    settlement.RegularCount,
-		UncleCount:      settlement.UncleCount,
-		StaleCount:      settlement.StaleCount,
+		MinerRewards:    rewards,
+		MinerSeen:       seen,
+		RegularCount:    regular,
+		UncleCount:      uncles,
+		StaleCount:      stale,
 		EventsByPool:    append([]int64(nil), s.events...),
 		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
 	}
@@ -367,9 +392,7 @@ func settleRun(s *simulator) (Result, error) {
 		result.OccupancyByPool[i] = s.occupancyMap(i)
 	}
 	result.Occupancy = result.OccupancyByPool[0]
-	// Summing the dense tallies in ID order keeps the float accumulation
-	// order deterministic (the map view has no stable order).
-	for id, reward := range settlement.MinerRewards {
+	for id, reward := range rewards {
 		pool := pop.PoolOf(chain.MinerID(id))
 		result.ByPool[pool] = result.ByPool[pool].Add(reward)
 		if pool != mining.HonestPool {
@@ -378,27 +401,16 @@ func settleRun(s *simulator) (Result, error) {
 			result.Honest = result.Honest.Add(reward)
 		}
 	}
-	for _, ref := range settlement.Refs {
-		if !cfg.Schedule.Referenceable(ref.Distance) {
-			continue
-		}
-		if pop.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
-			result.PoolUncleDistances.Observe(ref.Distance)
-		} else {
-			result.HonestUncleDistances.Observe(ref.Distance)
-		}
-	}
 	if s.timing {
 		result.Elapsed = s.clock
-		result.SettledTime = s.tree.TimeOf(settlement.Tip)
-		result.InitialDifficulty = cfg.Time.Difficulty.Initial
+		result.SettledTime = s.tree.TimeOf(tip)
+		result.InitialDifficulty = s.cfg.Time.Difficulty.Initial
 		result.FinalDifficulty = s.currentDifficulty()
 		if s.ctrl != nil {
 			result.Retargets = s.ctrl.Retargets()
 		}
-		s.timeWindows(&result, settlement.Tip)
 	}
-	return result, nil
+	return result
 }
 
 // Series summarizes repeated runs of one configuration: per-metric

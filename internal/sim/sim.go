@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/core"
@@ -53,12 +55,98 @@ const maxReferenceWindow = 64
 // increment per event instead of a map insertion.
 const occDim = 64
 
-// windowBlock is one entry of the uncle-candidate window: a block ID with
-// its height denormalized next to it, so window maintenance stays within
-// one cache-friendly array instead of chasing tree records.
+// windowBlock is one entry of the candidate window: a block ID with its
+// height denormalized next to it, so trimming the window never touches the
+// tree.
 type windowBlock struct {
 	id     chain.BlockID
 	height int
+}
+
+// candidate is one entry of the fork-child set: a block whose parent has a
+// second child, with its parent and height denormalized so eligibility and
+// the floor purge never load its tree record. refs and last are the first
+// and last nodes of the list of every block referencing it, oldest first,
+// in the simulator's refNodes arena (noRef while unreferenced): competing
+// branches can each reference the same candidate, so "already referenced
+// on this chain" asks whether any of them is on the chain. Oldest first
+// because the first reference is the one that usually lies on the chain
+// asking.
+type candidate struct {
+	id, parent chain.BlockID
+	height     int
+	refs, last int32
+}
+
+// refNode is one referencing block in a candidate's referencer list. Nodes
+// of candidates that leave the set return to a free list, so the arena
+// stays O(live candidates).
+type refNode struct {
+	id     chain.BlockID
+	height int32
+	next   int32
+}
+
+// noRef terminates a referencer list.
+const noRef int32 = -1
+
+// chainView is one viewer's incremental window onto a chain: for every
+// height h in [lo, top], ring[h&(len(ring)-1)] is tip's ancestor at h, and
+// top-lo < len(ring) (a power of two). Repointing it writes only the heights
+// where the new chain differs from the held one — one write to extend the
+// tip, a reorg's depth to switch branches — so chain-membership tests are a
+// ring load instead of a parent-pointer walk. Moves dereference only blocks
+// on the new chain within len(ring) heights of its tip, never held IDs, so
+// the view stays safe while streaming evicts the settled prefix below it.
+type chainView struct {
+	ring    []chain.BlockID
+	tip     chain.BlockID
+	lo, top int
+}
+
+// reset points the view at genesis with a ring of size entries.
+func (v *chainView) reset(size int, genesis chain.BlockID) {
+	v.ring = slices.Grow(v.ring[:0], size)[:size]
+	v.ring[0] = genesis
+	v.tip, v.lo, v.top = genesis, 0, 0
+}
+
+// at returns the held ancestor at height h, which must lie in [lo, top].
+func (v *chainView) at(h int) chain.BlockID { return v.ring[h&(len(v.ring)-1)] }
+
+// moveTo repoints the view at tip.
+func (v *chainView) moveTo(t *chain.Tree, tip chain.BlockID) {
+	if tip == v.tip {
+		return
+	}
+	mask := len(v.ring) - 1
+	b, h := tip, t.HeightOf(tip)
+	top, lo := h, max(0, h-mask)
+	// Write the new chain downward until it meets the held one: a block
+	// held at its own height implies every ancestor below it is held too,
+	// down to the held lo — which must reach the new lo. (Only a tip that
+	// moved down, like a pool abandoning its lead, writes the whole ring.)
+	for v.lo > lo || h > v.top || v.ring[h&mask] != b {
+		v.ring[h&mask] = b
+		if h == lo {
+			break
+		}
+		b, h = t.ParentOf(b), h-1
+	}
+	v.tip, v.lo, v.top = tip, lo, top
+}
+
+// holds reports whether b is the view's ancestor at height h. Heights below
+// the ring (deep stragglers the candidate window has not trimmed yet) fall
+// back to a tree walk from the lowest held block.
+func (v *chainView) holds(t *chain.Tree, b chain.BlockID, h int) bool {
+	switch {
+	case h > v.top:
+		return false
+	case h >= v.lo:
+		return v.at(h) == b
+	}
+	return t.AncestorAt(v.at(v.lo), h) == b
 }
 
 // ErrBadConfig is returned for invalid simulation configurations.
@@ -340,16 +428,19 @@ type simulator struct {
 	// eligible uncle is off the referencing chain while its parent is on
 	// it, so the parent has a second, on-chain child. eligibleUncles
 	// scans this set — almost always empty or a handful — instead of the
-	// whole candidate window, making the per-event uncle scan O(forks)
-	// rather than O(window). The set is shared by all pools; visibility
-	// is filtered per viewer at scan time.
-	forkChildren []windowBlock
+	// whole candidate window. The set is shared by all pools; visibility
+	// is filtered per viewer at scan time. refNodes and refFree are the
+	// arena and free list backing the candidates' referencer lists.
+	forkChildren []candidate
+	refNodes     []refNode
+	refFree      int32
 
-	// referencedInWindow counts the forkChildren entries some block has
-	// referenced. While it is zero, no candidate can be rejected by the
-	// already-referenced rule, so the chain walk skips gathering
-	// ancestor references entirely.
-	referencedInWindow int
+	// views[v] is viewer v's chain view (0: honest miners, i: pool i),
+	// repointed at the parent of the viewer's next block before its uncle
+	// scan; floorView follows the consensus floor for the purge. With
+	// them every chain-membership test is one ring load (see chainView).
+	views     []chainView
+	floorView chainView
 
 	// pools holds the per-pool race state; pools[i] is PoolID i+1.
 	pools []poolState
@@ -387,18 +478,9 @@ type simulator struct {
 	// indices whose published branches tie for the public lead.
 	leaderScratch []int
 
-	// Scratch buffers reused by eligibleUncles so the per-event hot path
-	// stays allocation-free after warm-up. chainScratch maps window
-	// heights to chain ancestors (indexed by height offset), refScratch
-	// collects uncles those ancestors already reference, candScratch
-	// holds filter survivors, and uncleScratch backs the returned
-	// candidate list (safe to reuse: chain.Tree.Extend copies the uncle
-	// list it is given).
-	chainScratch []chain.BlockID
-	refScratch   []chain.BlockID
+	// uncleScratch backs eligibleUncles' returned candidate list (safe to
+	// reuse: chain.Tree.Extend copies the uncle list it is given).
 	uncleScratch []chain.BlockID
-	candScratch  []windowBlock
-	purgeScratch []chain.BlockID
 
 	// aud is the runtime invariant auditor (see audit.go); nil unless
 	// cfg.Audit.Enabled, so the hot path pays one nil check per event.
@@ -481,7 +563,8 @@ func (s *simulator) init(cfg Config) {
 	s.recent = s.recent[:0]
 	s.recentHead = 0
 	s.forkChildren = s.forkChildren[:0]
-	s.referencedInWindow = 0
+	s.refNodes = s.refNodes[:0]
+	s.refFree = noRef
 
 	numPools := cfg.Population.NumPools()
 	if cap(s.pools) < numPools {
@@ -526,9 +609,15 @@ func (s *simulator) init(cfg Config) {
 		}
 		s.occOverflow[i] = nil
 	}
-	if cap(s.chainScratch) < window+2 {
-		s.chainScratch = make([]chain.BlockID, 0, window+2)
+	// The smallest power of two above window covers every height an
+	// uncle scan reads (the new block's parent down to window heights
+	// below it).
+	viewSize := 1 << bits.Len(uint(window))
+	s.views = slices.Grow(s.views[:0], numPools+1)[:numPools+1]
+	for i := range s.views {
+		s.views[i].reset(viewSize, genesis)
 	}
+	s.floorView.reset(viewSize, genesis)
 	if cap(s.events) < numPools+1 {
 		s.events = make([]int64, numPools+1)
 	} else {
@@ -608,33 +697,64 @@ func (s *simulator) poolOf(id chain.BlockID) mining.PoolID {
 	return s.cfg.Population.PoolOf(s.tree.MinerOf(id))
 }
 
-// addForkChild inserts b into the ID-sorted fork-child set. Blocks enter at
+// addForkChild inserts c into the ID-sorted fork-child set. Blocks enter at
 // most once: newborns on arrival, a previously only child exactly at its
 // parent's one-to-two transition.
-func (s *simulator) addForkChild(b windowBlock) {
-	fc := append(s.forkChildren, b)
+func (s *simulator) addForkChild(c candidate) {
+	fc := append(s.forkChildren, c)
 	i := len(fc) - 1
-	for i > 0 && fc[i-1].id > b.id {
+	for i > 0 && fc[i-1].id > c.id {
 		fc[i] = fc[i-1]
 		i--
 	}
-	fc[i] = b
+	fc[i] = c
 	s.forkChildren = fc
 }
 
-// removeForkChild drops b from the fork-child set, reporting whether it was
-// present, and keeps the referenced-candidate count in step.
-func (s *simulator) removeForkChild(b chain.BlockID) bool {
-	for i, x := range s.forkChildren {
-		if x.id == b {
+// removeForkChild drops b from the fork-child set (if present) and
+// recycles its referencer list.
+func (s *simulator) removeForkChild(b chain.BlockID) {
+	for i, c := range s.forkChildren {
+		if c.id == b {
+			s.releaseRefs(c)
 			s.forkChildren = append(s.forkChildren[:i], s.forkChildren[i+1:]...)
-			if s.tree.ReferencedBy(b) != chain.NoBlock {
-				s.referencedInWindow--
-			}
-			return true
+			return
 		}
 	}
-	return false
+}
+
+// hasUnreferencedCandidate reports whether some fork child has no
+// referencer yet.
+func (s *simulator) hasUnreferencedCandidate() bool {
+	return slices.ContainsFunc(s.forkChildren, func(c candidate) bool { return c.refs == noRef })
+}
+
+// addReferencer appends the block id at height h to candidate c's
+// referencer list, reusing a free arena node when there is one.
+func (s *simulator) addReferencer(c *candidate, id chain.BlockID, h int) {
+	n := refNode{id: id, height: int32(h), next: noRef}
+	i := s.refFree
+	if i != noRef {
+		s.refFree = s.refNodes[i].next
+		s.refNodes[i] = n
+	} else {
+		i = int32(len(s.refNodes))
+		s.refNodes = append(s.refNodes, n)
+	}
+	if c.refs == noRef {
+		c.refs = i
+	} else {
+		s.refNodes[c.last].next = i
+	}
+	c.last = i
+}
+
+// releaseRefs splices candidate c's referencer list onto the free list.
+func (s *simulator) releaseRefs(c candidate) {
+	if c.refs != noRef {
+		s.refNodes[c.last].next = s.refFree
+		s.refFree = c.refs
+	}
 }
 
 // extend creates a block, records it in the candidate window, and returns
@@ -645,41 +765,43 @@ func (s *simulator) extend(parent chain.BlockID, miner chain.MinerID, uncles []c
 	// only child becomes one alongside it (unless the window already
 	// trimmed it — a trimmed block can never be referenced again).
 	firstSibling := s.tree.FirstChildOf(parent)
-	// Count first-time references among the new block's uncles before the
-	// tree overwrites their referenced-by links. Every referenced uncle
-	// is necessarily a current fork child (it just passed eligibility).
-	for _, u := range uncles {
-		if s.tree.ReferencedBy(u) == chain.NoBlock {
-			s.referencedInWindow++
-		}
-	}
 	id, err := s.tree.ExtendAt(parent, miner, uncles, s.clock)
 	if err != nil {
-		// Roll the count back: the tree rejected the block.
-		for _, u := range uncles {
-			if s.tree.ReferencedBy(u) == chain.NoBlock {
-				s.referencedInWindow--
-			}
-		}
 		return chain.NoBlock, fmt.Errorf("sim: extending chain: %w", err)
 	}
 	height := s.tree.HeightOf(id)
+	// Every uncle just passed eligibility, so it is a current fork child;
+	// both lists are in ID order, so one merged pass finds them all.
+	fc, j := s.forkChildren, 0
+	for _, u := range uncles {
+		for j < len(fc) && fc[j].id < u {
+			j++
+		}
+		if j < len(fc) && fc[j].id == u {
+			s.addReferencer(&fc[j], id, height)
+		}
+	}
 	if firstSibling != chain.NoBlock {
 		if s.tree.NextSiblingOf(firstSibling) == id && s.inRecent[int(firstSibling)-s.idBase] {
 			// Siblings share a height, so the denormalized height
 			// of the promoted first child equals the newborn's.
-			s.addForkChild(windowBlock{id: firstSibling, height: height})
+			s.addForkChild(candidate{id: firstSibling, parent: parent, height: height, refs: noRef, last: noRef})
 		}
 		// The newborn has the largest ID: appending stays sorted.
-		s.forkChildren = append(s.forkChildren, windowBlock{id: id, height: height})
+		s.forkChildren = append(s.forkChildren, candidate{id: id, parent: parent, height: height, refs: noRef, last: noRef})
 	}
+	s.enterWindow(id, height, visible)
+	return id, nil
+}
+
+// enterWindow records a new block's visibility and enters it into the
+// candidate window, trimming the blocks its height makes too old to ever be
+// referenced again.
+func (s *simulator) enterWindow(id chain.BlockID, height int, visible bool) {
 	s.published = append(s.published, visible)
 	s.inRecent = append(s.inRecent, true)
 	s.recent = append(s.recent, windowBlock{id: id, height: height})
-	// Trim the candidate window: drop blocks too old to ever be
-	// referenced again.
 	s.trimRecent(height - s.window - 1)
-	return id, nil
 }
 
 // recentCompactHead is the dead-prefix length at which trimRecent compacts
@@ -771,63 +893,25 @@ func (s *simulator) resolve() error {
 // they may yet be referenced from a live private branch. Purging here keeps
 // the fork-child set down to genuine open candidates, so eligibleUncles'
 // fast path fires instead of re-rejecting dead candidates every event
-// until the window trims them.
+// until the window trims them. The referenced rule reads the newest
+// referencer only — the one the tree's reverse index records.
 func (s *simulator) purgeForkChildren(floor chain.BlockID) {
-	t := s.tree
-	floorHeight := t.HeightOf(floor)
-	// One walk down floor's chain covers every check below; it spans
-	// from the lowest candidate's parent height (clamped to floor) up
-	// to floor.
-	base := floorHeight
-	for _, cand := range s.forkChildren {
-		if cand.height-1 < base {
-			base = cand.height - 1
-		}
-	}
-	if base < 0 {
-		base = 0
-	}
-	span := floorHeight - base + 1
-	if cap(s.purgeScratch) < span {
-		s.purgeScratch = make([]chain.BlockID, span)
-	}
-	onChain := s.purgeScratch[:span]
-	for i := range onChain {
-		onChain[i] = chain.NoBlock
-	}
-	cursor := floor
-	for {
-		up, h := t.ParentAndHeight(cursor)
-		onChain[h-base] = cursor
-		if h <= base || cursor == t.Genesis() {
-			break
-		}
-		cursor = up
-	}
-	isOn := func(b chain.BlockID, h int) bool {
-		return h >= base && h <= floorHeight && onChain[h-base] == b
-	}
-
+	t, v := s.tree, &s.floorView
+	v.moveTo(t, floor)
 	kept := s.forkChildren[:0]
-	for _, cand := range s.forkChildren {
-		c := cand.id
-		referencer := t.ReferencedBy(c)
-		remove := false
+	for _, c := range s.forkChildren {
 		switch {
-		case referencer != chain.NoBlock && isOn(referencer, t.HeightOf(referencer)):
-			remove = true // referenced on the consensus chain
-		case isOn(c, cand.height):
-			remove = true // on the consensus chain itself
-		case cand.height-1 <= floorHeight && !isOn(t.ParentOf(c), cand.height-1):
-			remove = true // parent off every future chain
-		}
-		if remove {
-			if referencer != chain.NoBlock {
-				s.referencedInWindow--
-			}
+		case c.refs != noRef && v.holds(t, s.refNodes[c.last].id, int(s.refNodes[c.last].height)):
+			// referenced on the consensus chain
+		case v.holds(t, c.id, c.height):
+			// on the consensus chain itself
+		case c.height-1 <= v.top && !v.holds(t, c.parent, c.height-1):
+			// parent off every future chain
+		default:
+			kept = append(kept, c)
 			continue
 		}
-		kept = append(kept, cand)
+		s.releaseRefs(c)
 	}
 	s.forkChildren = kept
 }
@@ -852,99 +936,34 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 	if len(s.forkChildren) == 0 {
 		return nil
 	}
-	tree := s.tree
-	newHeight := tree.HeightOf(parent) + 1
-	lowest := newHeight - s.window
-	if lowest < 1 {
-		lowest = 1
-	}
-
-	// Cheap per-candidate filters first (height window, visibility); the
-	// chain walk below is only paid when something survives them, and
-	// only down to the lowest surviving height.
-	cands := s.candScratch[:0]
-	minH := newHeight
-	for _, cand := range s.forkChildren {
-		if cand.height < lowest || cand.height >= newHeight {
+	newHeight := s.tree.HeightOf(parent) + 1
+	lowest := max(1, newHeight-s.window)
+	v := &s.views[viewer]
+	moved := false
+	out := s.uncleScratch[:0]
+	// Cheap filters first (height window, visibility); the view is only
+	// repointed once a candidate survives them. Every height read below
+	// lies within window heights under parent, which the view holds.
+	// Candidates come in ID (creation) order.
+	for _, c := range s.forkChildren {
+		if c.height < lowest || c.height >= newHeight {
 			continue
 		}
-		if !s.published[int(cand.id)-s.idBase] &&
-			(viewer == mining.HonestPool || s.poolOf(cand.id) != viewer) {
+		if !s.published[int(c.id)-s.idBase] &&
+			(viewer == mining.HonestPool || s.poolOf(c.id) != viewer) {
 			continue // invisible to this viewer
 		}
-		if cand.height < minH {
-			minH = cand.height
+		if !moved {
+			v.moveTo(s.tree, parent)
+			moved = true
 		}
-		cands = append(cands, cand)
-	}
-	s.candScratch = cands
-	if len(cands) == 0 {
-		return nil
-	}
-	// Only a referenced-somewhere candidate can be rejected by the
-	// already-referenced rule; while the window holds none, the walk
-	// skips gathering ancestor references. (The rejection must scan the
-	// ancestors' own reference lists: the tree's reverse index keeps one
-	// referencer per block, but competing private branches can each
-	// reference the same published candidate, so per-chain rejection
-	// cannot trust it.)
-	needRefs := s.referencedInWindow > 0
-
-	// Map each height from the lowest surviving candidate up to the new
-	// block's to its chain ancestor, and collect uncles those ancestors
-	// already reference. base is the deepest height mapped (the parent
-	// height of the lowest candidate); chainScratch[h-base] holds the
-	// ancestor at height h. Ancestors below base only reference uncles
-	// deeper than any candidate, so the shortened walk loses nothing —
-	// and only ancestors above minH can reference a candidate at all, so
-	// the reference gathering stops a step earlier than the mapping.
-	base := minH - 1
-	span := newHeight - base
-	if cap(s.chainScratch) < span {
-		s.chainScratch = make([]chain.BlockID, span)
-	}
-	chainAt := s.chainScratch[:span]
-	for i := range chainAt {
-		chainAt[i] = chain.NoBlock
-	}
-	referenced := s.refScratch[:0]
-	cursor := parent
-	if needRefs {
-		for {
-			up, h, uncles := tree.BlockInfo(cursor)
-			chainAt[h-base] = cursor
-			referenced = append(referenced, uncles...)
-			if h <= base || cursor == tree.Genesis() {
-				break
-			}
-			cursor = up
+		if v.at(c.height) == c.id || v.at(c.height-1) != c.parent {
+			continue // on the new block's own chain, or not attached to it
 		}
-	} else {
-		for {
-			up, h := tree.ParentAndHeight(cursor)
-			chainAt[h-base] = cursor
-			if h <= base || cursor == tree.Genesis() {
-				break
-			}
-			cursor = up
-		}
-	}
-	s.refScratch = referenced
-
-	// Full eligibility on the survivors. cands is sorted by ID, i.e.
-	// creation order — the order the candidate window used to yield.
-	out := s.uncleScratch[:0]
-	for _, cand := range cands {
-		if chainAt[cand.height-base] == cand.id {
-			continue // on the new block's own chain
-		}
-		if chainAt[cand.height-1-base] != tree.ParentOf(cand.id) {
-			continue // not attached to the new block's chain
-		}
-		if containsBlock(referenced, cand.id) {
+		if s.referencedOnChain(v, c.refs) {
 			continue
 		}
-		out = append(out, cand.id)
+		out = append(out, c.id)
 	}
 	s.uncleScratch = out
 	if limit := s.cfg.MaxUnclesPerBlock; limit > 0 && len(out) > limit {
@@ -955,12 +974,11 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 	return out
 }
 
-// containsBlock reports whether id occurs in ids. The lists scanned here
-// hold at most two uncles per window height, so a linear scan beats a map
-// both in time and in allocations.
-func containsBlock(ids []chain.BlockID, id chain.BlockID) bool {
-	for _, other := range ids {
-		if other == id {
+// referencedOnChain reports whether a block in the referencer list headed
+// by i lies on v's chain (at or below its tip).
+func (s *simulator) referencedOnChain(v *chainView, i int32) bool {
+	for ; i != noRef; i = s.refNodes[i].next {
+		if r := s.refNodes[i]; int(r.height) <= v.top && v.at(int(r.height)) == r.id {
 			return true
 		}
 	}
@@ -985,7 +1003,7 @@ func (s *simulator) poolEvent(pi int, miner chain.MinerID) error {
 	p.blocks = append(p.blocks, id)
 
 	before := s.pubHeight
-	if err := s.reactPool(pi); err != nil {
+	if err := s.react(pi, true); err != nil {
 		return err
 	}
 	if s.pubHeight != before {
@@ -1008,7 +1026,7 @@ func (s *simulator) reactOthers(skip int) error {
 			if i == skip {
 				continue
 			}
-			if err := s.reactHonest(i); err != nil {
+			if err := s.react(i, false); err != nil {
 				return err
 			}
 		}
@@ -1019,31 +1037,26 @@ func (s *simulator) reactOthers(skip int) error {
 	}
 }
 
-// reactPool consults pool pi about its own fresh block and applies the
-// decision: a pre-validated table load for tabled strategies, the live
-// interface call (with per-event validation) otherwise. Overflow frames and
-// frames whose compiled reaction was invalid fall back to the live path, so
-// errors surface at the same event with the same message either way.
-func (s *simulator) reactPool(pi int) error {
+// react consults pool pi — about its own fresh block (own), or about an
+// advanced public chain — and applies the decision: a pre-validated table
+// load for tabled strategies, the live interface call (with per-event
+// validation) otherwise. Overflow frames and frames whose compiled reaction
+// was invalid fall back to the live path, so errors surface at the same
+// event with the same message either way.
+func (s *simulator) react(pi int, own bool) error {
 	p := &s.pools[pi]
 	ls, lh, published := len(p.blocks), s.pubHeight-p.rootHeight, p.published
 	if t := p.table; t != nil {
-		if e, ok := entryAt(t.pool, ls, lh, published); ok && e != tableInvalid {
+		grid := t.honest
+		if own {
+			grid = t.pool
+		}
+		if e, ok := entryAt(grid, ls, lh, published); ok && e != tableInvalid {
 			return s.applyEntry(pi, e)
 		}
 	}
-	return s.applyReaction(pi, p.strat.ReactToPool(ls, lh, published))
-}
-
-// reactHonest consults pool pi about an advanced public chain and applies
-// the decision, with the same table-first dispatch as reactPool.
-func (s *simulator) reactHonest(pi int) error {
-	p := &s.pools[pi]
-	ls, lh, published := len(p.blocks), s.pubHeight-p.rootHeight, p.published
-	if t := p.table; t != nil {
-		if e, ok := entryAt(t.honest, ls, lh, published); ok && e != tableInvalid {
-			return s.applyEntry(pi, e)
-		}
+	if own {
+		return s.applyReaction(pi, p.strat.ReactToPool(ls, lh, published))
 	}
 	return s.applyReaction(pi, p.strat.ReactToHonest(ls, lh, published))
 }
@@ -1242,13 +1255,14 @@ func (s *simulator) honestEvent(miner chain.MinerID) error {
 func (s *simulator) run() error {
 	pop := s.cfg.Population
 	for i := 0; i < s.cfg.Blocks; i++ {
-		if s.ffwd && s.atRaceOrigin() {
-			skipped, err := s.fastForward(s.cfg.Blocks - i)
-			if err != nil {
+		var err error
+		switch {
+		case s.ffwd && s.atRaceOrigin():
+			var skipped int
+			if skipped, err = s.fastForward(s.cfg.Blocks - i); err != nil {
 				return err
 			}
-			i += skipped
-			if i >= s.cfg.Blocks {
+			if i += skipped; i >= s.cfg.Blocks {
 				return nil
 			}
 			// The stretch ended because the next producer is selfish:
@@ -1259,123 +1273,98 @@ func (s *simulator) run() error {
 			}
 			miner := pop.SampleSelfish(s.random)
 			s.events[miner.Pool]++
-			if err := s.poolEvent(int(miner.Pool)-1, miner.ID); err != nil {
-				return err
-			}
-			if err := s.flushFloor(); err != nil {
-				return err
-			}
-			if err := s.flushStream(); err != nil {
-				return err
-			}
-			if s.aud != nil {
-				if err := s.auditEvent(i); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Race-origin fast path: with every pool parked at the origin and
-		// the tip childless, an honest find has a fully determined outcome
-		// — extend the tip, every pool re-adopts to it (the compiled
-		// tables say so), the floor rides up one, nothing forks. Play
-		// exactly that, consuming exactly the draws the general path would
-		// (the winner sample; no leader or gamma draw exists at the
-		// origin), and skip the leader scan, the reaction loop, and the
-		// floor recompute. A selfish find drops to the general path below.
-		if s.originFast && len(s.forkChildren) == 0 && s.atRaceOrigin() {
-			for pi := range s.pools {
-				s.occ[pi][0]++ // recordState: every pool sits at (0, 0)
-			}
+			err = s.poolEvent(int(miner.Pool)-1, miner.ID)
+		case s.originFast && len(s.forkChildren) == 0 && s.atRaceOrigin():
+			err = s.originEvent()
+		default:
+			s.recordState()
 			if s.timing {
 				s.advanceClock()
 			}
 			miner := pop.Sample(s.random)
 			s.events[miner.Pool]++
-			if miner.Pool == mining.HonestPool {
-				// The tip is childless at the origin, so the append is a
-				// pure leaf extension: AppendLeaf mutates exactly as
-				// extend would (no siblings, no uncles, no fork children),
-				// and the window bookkeeping below mirrors extend's for a
-				// block at height pubHeight+1. Fall back to the general
-				// path if the childless assumption ever fails.
-				id, leaf := s.tree.AppendLeaf(s.pubTip, miner.ID, s.clock)
-				if leaf {
-					s.published = append(s.published, true)
-					s.inRecent = append(s.inRecent, true)
-					s.recent = append(s.recent, windowBlock{id: id, height: s.pubHeight + 1})
-					s.trimRecent(s.pubHeight - s.window)
-				} else {
-					var err error
-					id, err = s.extend(s.pubTip, miner.ID, nil, true)
-					if err != nil {
-						return err
-					}
-				}
-				s.pubTip = id
-				s.pubHeight++
-				for pi := range s.pools {
-					p := &s.pools[pi]
-					p.root = id
-					p.rootHeight = s.pubHeight
-				}
-				// The floor rides the tip: every pool just re-adopted.
-				if s.aud != nil {
-					if err := s.aud.auditFloor(s, s.floor, id); err != nil {
-						return err
-					}
-				}
-				s.floor = id
+			if miner.Pool != mining.HonestPool {
+				err = s.poolEvent(int(miner.Pool)-1, miner.ID)
 			} else {
-				if err := s.poolEvent(int(miner.Pool)-1, miner.ID); err != nil {
-					return err
-				}
-				if err := s.flushFloor(); err != nil {
-					return err
-				}
+				err = s.honestEvent(miner.ID)
 			}
-			if s.ctrl != nil {
-				s.observeSettled()
-			}
-			if err := s.flushStream(); err != nil {
-				return err
-			}
-			if s.aud != nil {
-				if err := s.auditEvent(i); err != nil {
-					return err
-				}
-			}
-			continue
 		}
-		s.recordState()
-		if s.timing {
-			s.advanceClock()
-		}
-		miner := pop.Sample(s.random)
-		s.events[miner.Pool]++
-		var err error
-		if miner.Pool != mining.HonestPool {
-			err = s.poolEvent(int(miner.Pool)-1, miner.ID)
-		} else {
-			err = s.honestEvent(miner.ID)
+		if err == nil {
+			err = s.endEvent(i)
 		}
 		if err != nil {
 			return err
 		}
-		if err := s.flushFloor(); err != nil {
+	}
+	return nil
+}
+
+// endEvent closes block event i once every reaction has been applied: the
+// deferred floor flush, the difficulty controller's settled-floor
+// observation, the streaming flush, and the sampled audit.
+func (s *simulator) endEvent(i int) error {
+	if err := s.flushFloor(); err != nil {
+		return err
+	}
+	if s.ctrl != nil {
+		s.observeSettled()
+	}
+	if err := s.flushStream(); err != nil {
+		return err
+	}
+	if s.aud != nil {
+		return s.auditEvent(i)
+	}
+	return nil
+}
+
+// originEvent is the plain loop's race-origin fast path: with every pool
+// parked at the origin and the tip childless, an honest find has a fully
+// determined outcome — extend the tip, every pool re-adopts to it (the
+// compiled tables say so), the floor rides up one, nothing forks. Play
+// exactly that, consuming exactly the draws the general path would (the
+// winner sample; no leader or gamma draw exists at the origin), and skip
+// the leader scan, the reaction loop, and the floor recompute. A selfish
+// find drops to the general pool path.
+func (s *simulator) originEvent() error {
+	for pi := range s.pools {
+		s.occ[pi][0]++ // recordState: every pool sits at (0, 0)
+	}
+	if s.timing {
+		s.advanceClock()
+	}
+	miner := s.cfg.Population.Sample(s.random)
+	s.events[miner.Pool]++
+	if miner.Pool != mining.HonestPool {
+		return s.poolEvent(int(miner.Pool)-1, miner.ID)
+	}
+	// The tip is childless at the origin, so the append is a pure leaf
+	// extension: AppendLeaf mutates exactly as extend would (no siblings,
+	// no uncles, no fork children), and the window bookkeeping below
+	// mirrors extend's for a block at height pubHeight+1. Fall back to
+	// the general path if the childless assumption ever fails.
+	id, leaf := s.tree.AppendLeaf(s.pubTip, miner.ID, s.clock)
+	if leaf {
+		s.enterWindow(id, s.pubHeight+1, true)
+	} else {
+		var err error
+		if id, err = s.extend(s.pubTip, miner.ID, nil, true); err != nil {
 			return err
-		}
-		if s.ctrl != nil {
-			s.observeSettled()
-		}
-		if err := s.flushStream(); err != nil {
-			return err
-		}
-		if s.aud != nil {
-			if err := s.auditEvent(i); err != nil {
-				return err
-			}
 		}
 	}
+	s.pubTip = id
+	s.pubHeight++
+	for pi := range s.pools {
+		p := &s.pools[pi]
+		p.root = id
+		p.rootHeight = s.pubHeight
+	}
+	// The floor rides the tip: every pool just re-adopted.
+	if s.aud != nil {
+		if err := s.aud.auditFloor(s, s.floor, id); err != nil {
+			return err
+		}
+	}
+	s.floor = id
 	return nil
 }

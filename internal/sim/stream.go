@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
-	"github.com/ethselfish/ethselfish/internal/core"
-	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
@@ -26,11 +24,13 @@ import (
 //     (chain.Tree.CompactBelow). No future block can reference anything
 //     that deep (a future block's height exceeds fH, putting the evicted
 //     prefix beyond the uncle depth limit), and no hot-path walk reads it:
-//     the candidate window, the uncle-eligibility chain walk, and the
-//     difficulty observation cursor all operate at heights above the bound,
-//     and the floor purge's walk bottoms out at the lowest candidate's
-//     parent, which the pre-eviction sweep (sweepDeadRecent) pins at or
-//     above sH - window - 1 for every window >= 1.
+//     the candidate window and the difficulty observation cursor operate
+//     at heights above the bound; a chain view dereferences only blocks
+//     less than its ring size (at most 2*window) below a tip at or above
+//     fH; and the floor purge's fallback walk below the floor view bottoms
+//     out at the lowest candidate's parent, which the pre-eviction sweep
+//     (sweepDeadRecent) pins at or above sH - window - 1 for every
+//     window >= 1.
 //   - Bit-identity. The incremental tallies equal the one-shot Settle walk
 //     bit for bit (see chain.StreamSettler); Result assembly then sums them
 //     in the same miner-ID order. The only intentionally weaker field is
@@ -246,11 +246,11 @@ func (s *simulator) flushStream() error {
 // entry, so a deep fork block can linger in the window (and in the
 // fork-child set) long after its height makes it unreferenceable. Those
 // stragglers are semantically dead — every future nephew sits more than an
-// uncle window above them — but the floor purge and the window audit walk
-// the chain down to the lowest candidate's parent, so nothing the window
-// still tracks may be evicted. The sweep removes them first, and the
-// compaction keeps one extra height below the keep bound so that lowest
-// parent is always resident.
+// uncle window above them — but the floor purge (below the floor view's
+// ring) and the window audit walk the chain down to the lowest candidate's
+// parent, so nothing the window still tracks may be evicted. The sweep
+// removes them first, and the compaction keeps one extra height below the
+// keep bound so that lowest parent is always resident.
 func (s *simulator) evictSettled() {
 	minKeep := s.str.settler.SettledHeight() - s.window
 	s.sweepDeadRecent(minKeep)
@@ -295,54 +295,21 @@ func (s *simulator) sweepDeadRecent(minHeight int) {
 // the nearest cumulative snapshot (exact while the run is short enough that
 // the snapshot interval is still one block).
 func settleStream(s *simulator) (Result, error) {
-	cfg := s.cfg
 	st := s.str
 	floor := s.consensusFloor()
 	if err := st.settler.Advance(s.tree, floor, st.hooks); err != nil {
 		return Result{}, fmt.Errorf("sim: streaming settle: %w", err)
 	}
 	st.commitSnap()
-
-	pop := cfg.Population
-	regular := st.settler.RegularCount()
-	uncles := st.settler.UncleCount()
-	result := Result{
-		Alpha:  pop.Alpha(),
-		Blocks: cfg.Blocks,
-		ByPool: make([]chain.Reward, pop.NumPools()+1),
-		// The settler's buffers are reused across a Runner's runs; the
-		// Result owns copies.
-		MinerRewards:    append([]chain.Reward(nil), st.settler.MinerRewards()...),
-		MinerSeen:       append([]bool(nil), st.settler.MinerSeen()...),
-		RegularCount:    regular,
-		UncleCount:      uncles,
-		StaleCount:      s.tree.Len() - 1 - regular - uncles,
-		EventsByPool:    append([]int64(nil), s.events...),
-		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
-	}
-	for i := range s.occ {
-		result.OccupancyByPool[i] = s.occupancyMap(i)
-	}
-	result.Occupancy = result.OccupancyByPool[0]
-	for id, reward := range result.MinerRewards {
-		pool := pop.PoolOf(chain.MinerID(id))
-		result.ByPool[pool] = result.ByPool[pool].Add(reward)
-		if pool != mining.HonestPool {
-			result.Pool = result.Pool.Add(reward)
-		} else {
-			result.Honest = result.Honest.Add(reward)
-		}
-	}
+	regular, uncles := st.settler.RegularCount(), st.settler.UncleCount()
+	// The settler's buffers are reused across a Runner's runs; the Result
+	// owns copies.
+	result := s.assemble(append([]chain.Reward(nil), st.settler.MinerRewards()...),
+		append([]bool(nil), st.settler.MinerSeen()...),
+		regular, uncles, s.tree.Len()-1-regular-uncles, floor)
 	result.PoolUncleDistances.Merge(&st.poolDist)
 	result.HonestUncleDistances.Merge(&st.honestDist)
 	if s.timing {
-		result.Elapsed = s.clock
-		result.SettledTime = s.tree.TimeOf(floor)
-		result.InitialDifficulty = cfg.Time.Difficulty.Initial
-		result.FinalDifficulty = s.currentDifficulty()
-		if s.ctrl != nil {
-			result.Retargets = s.ctrl.Retargets()
-		}
 		st.assembleWindows(&result)
 	}
 	return result, nil
