@@ -1,5 +1,5 @@
-# Development targets. `make check` is tier-1 plus the race suite in one
-# command.
+# Development targets. `make check` is tier-1 plus the race suite and the
+# repository benchmark's self-test in one command.
 
 GO ?= go
 
@@ -20,12 +20,12 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # and the CI workflow both read this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m fig8-alpha045
 
-.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
+.PHONY: check build vet test race agreement perfbench-test staticcheck chaos-smoke cache-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 
 # How long each fuzz target runs in fuzz-smoke; CI uses the default.
 FUZZTIME ?= 10s
 
-check: vet staticcheck test race agreement
+check: vet staticcheck test race agreement perfbench-test
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ test: build
 # under the detector.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/sim ./internal/experiments ./internal/resultcache ./internal/chaos
+
+# The repository benchmark (perfbench/, run by perfbench/run.py) is a Go
+# module of its own, so `test` never reaches its self-test; this builds it
+# against the current library and runs it, so a library API change that
+# breaks the benchmark fails `make check`.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # The cross-mode agreement suite by name: fast-forward vs plain
 # distribution agreement, the paired/antithetic estimators against their

@@ -137,10 +137,9 @@ func BenchmarkThresholdSearch(b *testing.B) {
 }
 
 func BenchmarkSimulator100kBlocks(b *testing.B) {
-	// Streaming settlement is the production configuration for long
-	// horizons: the settled prefix is folded into dense tallies as the
-	// consensus floor advances and evicted from the tree, so bytes/op is
-	// bounded by the uncle window, not the run length.
+	// Settlement streams: the settled prefix is folded into dense tallies
+	// as the consensus floor advances and evicted from the tree, so
+	// bytes/op is bounded by the uncle window, not the run length.
 	b.ReportAllocs()
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
@@ -153,7 +152,6 @@ func BenchmarkSimulator100kBlocks(b *testing.B) {
 			Gamma:      0.5,
 			Blocks:     100000,
 			Seed:       uint64(i),
-			Streaming:  true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -167,8 +165,8 @@ func BenchmarkSimulator100kBlocks(b *testing.B) {
 
 func BenchmarkSimulator1MBlocksStreaming(b *testing.B) {
 	// The long-horizon workload: a million blocks through one reused
-	// Runner with streaming settlement — flat O(window) memory for the
-	// whole run.
+	// Runner — flat O(window) memory for the whole run, because settlement
+	// evicts what it settled.
 	b.ReportAllocs()
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
@@ -182,7 +180,6 @@ func BenchmarkSimulator1MBlocksStreaming(b *testing.B) {
 			Gamma:      0.5,
 			Blocks:     1000000,
 			Seed:       uint64(i),
-			Streaming:  true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -31,9 +31,6 @@
 //	               uneventful stretches; results agree with the plain
 //	               engine in distribution, not bit-for-bit, so journals
 //	               written in one mode never resume in the other
-//	-notables      keep every pool on the live Strategy interface path
-//	               instead of the compiled decision tables; diagnostic
-//	               only — results are bit-identical either way
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
 //	               expiry in-flight runs finish, then the sweep stops
 //	-checkpoint F  journal completed (grid-point x run) rows to file F and
@@ -99,7 +96,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		parallel    = fs.Int("parallel", 0, "experiment engine workers (0: one per CPU)")
 		strategies  = fs.String("strategies", "", "comma-separated strategy specs for strategies/tournament (not bestresponse)")
 		fastforward = fs.Bool("fastforward", false, "fast-forward uneventful stretches (distribution-equivalent, different random stream)")
-		notables    = fs.Bool("notables", false, "disable compiled decision tables (diagnostic; results are identical either way)")
 		rule        = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
 		checkpoint  = fs.String("checkpoint", "", "journal completed rows to this file and resume from it")
@@ -147,7 +143,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	opts.Parallelism = *parallel
 	opts.FastForward = *fastforward
-	opts.NoDecisionTables = *notables
 	opts.Audit = sim.AuditConfig{Enabled: *audit, SampleEvery: *auditEvery}
 	if *timeout > 0 {
 		var cancel context.CancelFunc

@@ -149,31 +149,34 @@
 // appending dated entries to the committed benchmark history, and
 // -cpuprofile/-memprofile for pprof output.
 //
-// # Streaming settlement
+// # Settlement
 //
-// sim.Config.Streaming bounds the event loop's memory by the active race
-// window instead of the run length, for multi-million-block horizons. The
+// Every run settles as it goes, so the event loop's memory is bounded by
+// the active race window instead of the run length, at any horizon. The
 // contract:
 //
 //   - As the consensus floor advances, the decided prefix — every block at
 //     or below floor height minus (uncle window + 1) — is folded into
 //     dense per-miner reward tallies by an incremental chain.StreamSettler,
 //     and the settled records are evicted from the block tree by
-//     base-offset compaction (surviving chain.BlockIDs stay stable).
-//   - Results are bit-identical to one-shot settlement: reward values are
-//     dyadic rationals well inside float64's exact-integer range, so the
-//     per-miner sums are order-independent. A golden equivalence suite,
-//     a fuzz property over random legal strategies, and the sampled
-//     conservation audit (replayed against a cloned settler mid-run) pin
-//     this.
-//   - The one approximation is the Result.Steady window boundary on runs
-//     past 2048 settled blocks: cumulative snapshots live on a
-//     doubling-granularity ring, so the early/steady split may round down
-//     by O(blocks/2048) heights. Reward totals, counts, occupancy, and
-//     audits are exact regardless.
-//   - Streaming composes with the time axis, fast-forward, audits, and
-//     Runner reuse; it rejects only trace recording (which needs the full
-//     tree at the end of the run).
+//     base-offset compaction (surviving chain.BlockIDs stay stable). At the
+//     end of the run the settler advances to the final floor, so races
+//     still in flight are excluded.
+//   - Every settled field equals the one-shot chain.Settle walk over the
+//     whole tree at the final floor, bit for bit: reward values are dyadic
+//     rationals well inside float64's exact-integer range, so the
+//     per-miner sums are order-independent. chain.Settle stays as the
+//     oracle: the equivalence suite, a fuzz property over random legal
+//     strategies, and the sampled conservation audit (against a cloned
+//     settler mid-run, and against Settle while the tree is still whole)
+//     pin this.
+//   - Result.Steady covers the trailing half of the settled chain from the
+//     deepest cumulative snapshot at or below its midpoint. Snapshots live
+//     on a doubling-granularity ring, so past 2048 settled blocks the start
+//     may round down by O(blocks/2048) heights. Early, reward totals,
+//     counts, occupancy and audits are exact regardless.
+//   - sim.RunTrace settles the same way but evicts nothing, so it returns
+//     the whole tree alongside a Result equal to sim.Run's.
 //
 // # Fast-forward and variance reduction
 //
@@ -185,9 +188,9 @@
 // engine samples the stretch length in one Geometric(alpha) draw,
 // bulk-appends the blocks (bulk-sampling the stretch duration as a
 // Gamma(k) variate on the timed axis), and resumes event-by-event at the
-// next selfish find — a ~1.7x speedup on 100k-block runs at alpha 0.05
-// (ethbench: sim-100k-blocks-alpha05 ~9.5 ms vs sim-100k-blocks-fastforward
-// ~5.6 ms, medians of five interleaved runs on a 2-vCPU Intel Xeon; the pair
+// next selfish find — a ~1.5x speedup on 100k-block runs at alpha 0.05
+// (ethbench: sim-100k-blocks-alpha05 ~11.5 ms vs sim-100k-blocks-fastforward
+// ~7.4 ms, medians of five interleaved runs on a 2-vCPU Intel Xeon; the pair
 // differs only in FastForward). It engages only when every pool's strategy plainly adopts at the
 // (0, 1, 0) frame (probed at init; otherwise the plain loop runs) and is
 // rejected with feedback difficulty rules. Results agree with the plain

@@ -1,9 +1,8 @@
 // longhorizon drives one selfish-mining configuration to multi-million-
-// block horizons on the streaming event loop. With Streaming enabled the
-// simulator folds the decided prefix into dense per-miner tallies as the
-// consensus floor advances and evicts settled records from the block tree,
-// so resident memory is bounded by the active race window — not the run
-// length. The example quadruples the horizon twice and shows the resident
+// block horizons. The simulator folds the decided prefix into dense
+// per-miner tallies as the consensus floor advances and evicts settled
+// records from the block tree, so resident memory is bounded by the active
+// race window — not the run length. The example quadruples the horizon twice and shows the resident
 // heap staying flat, then cross-checks the converged total reward rate
 // against the closed-form EIP100 steady-state oracle.
 //
@@ -52,7 +51,6 @@ func run() error {
 		Population: pop,
 		Gamma:      gamma,
 		Seed:       11,
-		Streaming:  true,
 		Time: sim.TimeConfig{
 			Enabled:    true,
 			Difficulty: difficulty.Params{Rule: difficulty.EIP100},
@@ -63,7 +61,7 @@ func run() error {
 	// the retained footprint after each run is the steady-state working
 	// set, independent of how many blocks flowed through.
 	rn := sim.NewRunner()
-	fmt.Printf("alpha=%.2f pool, EIP100 difficulty, streaming settlement\n\n", alpha)
+	fmt.Printf("alpha=%.2f pool, EIP100 difficulty\n\n", alpha)
 	fmt.Printf("%10s %14s %14s %16s\n", "blocks", "steady rate", "stale share", "resident heap")
 
 	var last sim.Result

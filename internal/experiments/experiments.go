@@ -85,12 +85,6 @@ type Options struct {
 	// mode participates in the sweep's checkpoint hash: journals written
 	// in one mode are never resumed in the other.
 	FastForward bool
-
-	// NoDecisionTables keeps every run on the live Strategy interface
-	// path instead of the compiled decision tables (see
-	// sim.Config.NoDecisionTables). The knob never changes results, so it
-	// does not participate in content addresses or checkpoint hashes.
-	NoDecisionTables bool
 }
 
 func (o Options) withDefaults() Options {

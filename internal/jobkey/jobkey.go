@@ -10,8 +10,10 @@
 //     run length: population, gamma, reward schedule, uncle cap, strategy
 //     assignment, time/difficulty regime, and the statistical mode
 //     (fast-forward, antithetic). Fields the simulator guarantees
-//     result-neutral — Parallelism and Audit — are excluded, as is Seed,
-//     which joins per run via Key.Row.
+//     result-neutral — NoDecisionTables, Parallelism and Audit — are
+//     excluded, as is Seed, which joins per run via Key.Row. Settlement
+//     has a single path (streaming, see internal/sim), so no settlement
+//     mode is encoded.
 //   - Key.Row joins a Key with one exact run seed: the content address of
 //     one (config, seed) row. By determinism invariant 3 a row is a pure
 //     function of its address, which is what makes cached rows exact.
@@ -28,7 +30,9 @@
 // zero-value schedule hashes as Ethereum and a nil strategy as Algorithm 1,
 // so a defaulted and an explicit config share an address exactly when they
 // share results. Every primitive is length- or tag-prefixed, so adjacent
-// fields can never alias.
+// fields can never alias. Any change to the encoding moves every address,
+// so it ships with a sim.ResultSchemaVersion bump: stores then reject old
+// files instead of holding rows nothing can address.
 package jobkey
 
 import (
@@ -53,8 +57,9 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // ForConfig computes the canonical key of a fully resolved configuration.
 // The config must carry its final Population and Blocks (the engine
-// resolves both before keying); Seed, Parallelism, and Audit are ignored —
-// the first joins per run via Row, the others cannot change results.
+// resolves both before keying); Seed, NoDecisionTables, Parallelism, and
+// Audit are ignored — the first joins per run via Row, the others cannot
+// change results.
 func ForConfig(cfg sim.Config) Key {
 	w := getWriter()
 	w.Str("ethselfish-job-v1")
@@ -107,9 +112,6 @@ func writeConfig(w *Writer, cfg *sim.Config) {
 	// separates the address space.
 	w.Bool(cfg.FastForward)
 	w.Bool(cfg.Antithetic)
-	// Streaming settlement is bit-identical except the Steady window's
-	// snapshot-rounded start, so it separates the address space too.
-	w.Bool(cfg.Streaming)
 	w.Bool(cfg.Time.Enabled)
 	if cfg.Time.Enabled {
 		d := cfg.Time.Difficulty

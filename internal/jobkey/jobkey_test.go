@@ -28,7 +28,6 @@ var configFields = map[string]string{
 	"Time":               "encoded",
 	"FastForward":        "encoded",
 	"Antithetic":         "encoded",
-	"Streaming":          "encoded",
 	"Seed":               "excluded: joins per run via Key.Row",
 	"NoDecisionTables":   "excluded: table and interface paths are bit-identical (pinned by the equivalence suite), so the knob is result-neutral",
 	"Parallelism":        "excluded: scheduling knob, result-neutral by the RunMany contract",

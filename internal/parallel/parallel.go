@@ -151,9 +151,11 @@ func MapWithCtx[S, T any](ctx context.Context, workers, n int, newState func() S
 		// The dispatcher stops feeding as soon as the context is done;
 		// the unbuffered channel guarantees every index it sent was
 		// picked up by a worker, so done[] exactly partitions the batch
-		// into finished and never-started items.
+		// into finished and never-started items. The loop checks the
+		// context before each send because a select with a waiting worker
+		// and a done context both ready picks either at random.
 	feed:
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
 			select {
 			case jobs <- i:
 			case <-ctx.Done():

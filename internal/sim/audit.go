@@ -68,8 +68,8 @@ type auditor struct {
 
 	// timeChecked is the highest block ID whose timestamp has been
 	// verified against its parent; the incremental sweep covers every
-	// block exactly once regardless of the sampling interval (under
-	// streaming: every block still resident when a sample fires — a
+	// block exactly once regardless of the sampling interval (once
+	// eviction starts: every block still resident when a sample fires — a
 	// block settled and evicted between sparse samples is vouched for by
 	// the settler equivalence suite instead).
 	timeChecked chain.BlockID
@@ -77,8 +77,8 @@ type auditor struct {
 	// scratch backs the brute-force fork-child rescan.
 	scratch []windowBlock
 
-	// streamScratch is the throwaway settler copy the streaming
-	// conservation check advances to the consensus floor.
+	// streamScratch is the throwaway settler copy the conservation
+	// check advances to the consensus floor.
 	streamScratch chain.StreamSettler
 }
 
@@ -166,7 +166,7 @@ func (a *auditor) checkTimestamps(s *simulator) error {
 	t := s.tree
 	start := a.timeChecked + 1
 	if base := t.Base(); start < base {
-		// Streaming eviction outran the sweep: resume at the resident
+		// Eviction outran the sweep: resume at the resident
 		// base (the evicted blocks' stamps are gone either way).
 		start = base
 	}
@@ -217,7 +217,10 @@ func onSettledChain(t *chain.Tree, b, floor chain.BlockID) bool {
 // lists, and checks the chain views against the tree's ancestry.
 func (a *auditor) checkForkChildren(s *simulator) error {
 	t := s.tree
-	floor := s.floor
+	// streamFloor, not s.floor: a poolless run never moves s.floor off
+	// genesis, which eviction drops (it has no forks, so the rescan finds
+	// nothing either way).
+	floor := s.streamFloor()
 	floorHeight := t.HeightOf(floor)
 	expected := a.scratch[:0]
 	for _, wb := range s.recent[s.recentHead:] {
@@ -326,12 +329,14 @@ const conservationTolerance = 1e-9
 // exactly one of regular, uncle, or stale (regular + uncle + stale = total
 // blocks minted), static rewards equal the regular-block count, and the
 // uncle/nephew payouts equal the schedule's mint over the realized
-// references. This is the expensive audit (O(chain)); the sampling interval
-// bounds its amortized cost.
+// references. The settler's own tallies are checked on every run; while the
+// tree is still whole (short runs, RunTrace) the one-shot Settle walk checks
+// them again, independently of the settler. That walk is the expensive
+// audit (O(chain)); the sampling interval bounds its amortized cost.
 func (a *auditor) checkConservation(s *simulator) error {
 	floor := s.consensusFloor()
-	if s.str != nil {
-		return a.checkStreamConservation(s, floor)
+	if err := a.checkStreamConservation(s, floor); err != nil || s.tree.Evicted() > 0 {
+		return err
 	}
 	settlement, err := s.tree.Settle(floor, s.cfg.Schedule)
 	if err != nil {
@@ -370,19 +375,19 @@ func (a *auditor) checkConservation(s *simulator) error {
 	return nil
 }
 
-// checkStreamConservation is the conservation audit for streaming runs,
-// where the settled prefix may already be evicted and the one-shot Settle
-// walk cannot run. It advances a throwaway copy of the live settler to the
-// consensus floor (the exact walk final assembly will take) and re-proves
-// the same invariants from the extended tallies: the settled chain length
-// matches the floor height, static rewards pay one per regular block, the
-// per-miner uncle/nephew tallies sum to the schedule's accumulated mint,
-// and the implied stale count is sane.
+// checkStreamConservation is the conservation audit that needs no evicted
+// record, so it runs after the settled prefix is gone too. It advances a
+// throwaway copy of the live settler to the consensus floor (the exact walk
+// final assembly will take) and re-proves the same invariants from the
+// extended tallies: the settled chain length matches the floor height,
+// static rewards pay one per regular block, the per-miner uncle/nephew
+// tallies sum to the schedule's accumulated mint, and the implied stale
+// count is sane.
 func (a *auditor) checkStreamConservation(s *simulator, floor chain.BlockID) error {
 	clone := &a.streamScratch
 	s.str.settler.CloneInto(clone)
 	if err := clone.Advance(s.tree, floor, chain.SettleHooks{}); err != nil {
-		return a.violation("streaming settle to floor %d: %v", floor, err)
+		return a.violation("settling to floor %d: %v", floor, err)
 	}
 	if clone.RegularCount() != s.tree.HeightOf(floor) {
 		return a.violation("settled chain length %d, floor height %d",

@@ -131,7 +131,7 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var s simulator
+		s := simulator{keepTree: true}
 		s.init(cfg)
 		result, err := settleRun(&s)
 		if err != nil {
@@ -216,33 +216,38 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 				result.Elapsed, result.SettledTime)
 		}
 
-		// Streaming equivalence: the same trajectory settled incrementally
-		// (with the runtime auditor verifying conservation at every sampled
-		// event along the way) must reproduce the one-shot Result bit for
-		// bit. Fresh reactors at the same seeds replay the same decisions.
-		streamCfg := cfg
-		streamCfg.Streaming = true
-		streamCfg.Audit = AuditConfig{Enabled: true, SampleEvery: 64}
-		streamStrategies := make([]Strategy, pools)
-		for i := range streamStrategies {
-			streamStrategies[i] = &randomReactor{r: rng.New(strategySeed + uint64(i))}
-		}
-		streamCfg.Strategies = streamStrategies
-		var ss simulator
-		ss.init(streamCfg)
-		streamResult, err := settleRun(&ss)
-		if err != nil {
-			t.Fatalf("streaming replay errored: %v", err)
-		}
-		want := result
+		// Settlement equivalence: the streamed Result must equal the
+		// one-shot Settle walk over the whole tree at the final floor.
+		want, got := oneShotResult(t, &s, result), result
 		if want.RegularCount >= maxStreamSnaps {
 			// The snapshot ring coarsened: Steady is approximate by
 			// contract, every other field stays exact.
-			want.Steady = Window{}
-			streamResult.Steady = Window{}
+			want.Steady, got.Steady = Window{}, Window{}
 		}
-		if !reflect.DeepEqual(want, streamResult) {
-			diffResults(t, want, streamResult)
+		if !reflect.DeepEqual(want, got) {
+			diffResults(t, want, got)
+		}
+
+		// Eviction equivalence: the same trajectory with the settled
+		// prefix evicted (and the runtime auditor verifying conservation
+		// at every sampled event along the way) must reproduce the traced
+		// Result bit for bit. Fresh reactors at the same seeds replay the
+		// same decisions.
+		evictCfg := cfg
+		evictCfg.Audit = AuditConfig{Enabled: true, SampleEvery: 64}
+		evictStrategies := make([]Strategy, pools)
+		for i := range evictStrategies {
+			evictStrategies[i] = &randomReactor{r: rng.New(strategySeed + uint64(i))}
+		}
+		evictCfg.Strategies = evictStrategies
+		var es simulator
+		es.init(evictCfg)
+		evicted, err := settleRun(&es)
+		if err != nil {
+			t.Fatalf("evicting replay errored: %v", err)
+		}
+		if !reflect.DeepEqual(result, evicted) {
+			diffResults(t, result, evicted)
 		}
 	})
 }

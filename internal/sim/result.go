@@ -18,7 +18,7 @@ import (
 // old row decode into a subtly different new Result. Bump it whenever the
 // field set of Result (or of anything it embeds) changes; the schema pin
 // test in schema_test.go fails until the change is acknowledged there.
-const ResultSchemaVersion = 1
+const ResultSchemaVersion = 2
 
 // Result summarizes one simulation run. Counts refer to the settled chain:
 // races still in flight when the run ends are excluded.
@@ -302,7 +302,6 @@ func (rn *Runner) Reset() {
 	s.aud = nil
 	s.ctrl = nil
 	s.str = nil
-	s.idBase = 0
 }
 
 // Run executes one simulation and settles it.
@@ -313,18 +312,14 @@ func Run(cfg Config) (Result, error) {
 // RunTrace executes one simulation and additionally returns the full block
 // tree, for trace export and post-hoc analysis. The tree retains every
 // block including losers of resolved races and the pool's never-published
-// blocks — which is why streaming runs (whose tree is evicted as it
-// settles) are rejected.
+// blocks: the run settles exactly as Run does but evicts nothing, so its
+// Result equals Run's and its memory grows with the run.
 func RunTrace(cfg Config) (Result, *chain.Tree, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return Result{}, nil, err
 	}
-	if cfg.Streaming {
-		return Result{}, nil, fmt.Errorf(
-			"%w: RunTrace needs the full block tree; disable Streaming", ErrBadConfig)
-	}
-	var s simulator
+	s := simulator{keepTree: true}
 	s.init(cfg)
 	result, err := settleRun(&s)
 	if err != nil {
@@ -333,9 +328,10 @@ func RunTrace(cfg Config) (Result, *chain.Tree, error) {
 	return result, s.tree, nil
 }
 
-// settleRun drives an initialized simulator through its run and settles the
-// final tree into a self-contained Result. The chain is settled at the
-// consensus floor, so every race still in flight is excluded.
+// settleRun drives an initialized simulator through its run and settles it
+// into a self-contained Result: the settler advances over the still-unsettled
+// suffix up to the final consensus floor, so every race still in flight is
+// excluded, and the Result is read off the accumulated tallies.
 func settleRun(s *simulator) (Result, error) {
 	if err := s.run(); err != nil {
 		return Result{}, err
@@ -344,47 +340,40 @@ func settleRun(s *simulator) (Result, error) {
 	if err := s.auditFinal(); err != nil {
 		return Result{}, err
 	}
-	if s.str != nil {
-		return settleStream(s)
-	}
-	cfg := s.cfg
-	settlement, err := s.tree.Settle(s.consensusFloor(), cfg.Schedule)
-	if err != nil {
+	st := s.str
+	floor := s.consensusFloor()
+	if err := st.settler.Advance(s.tree, floor, st.hooks); err != nil {
 		return Result{}, fmt.Errorf("sim: settling: %w", err)
 	}
-	result := s.assemble(settlement.MinerRewards, settlement.MinerSeen,
-		settlement.RegularCount, settlement.UncleCount, settlement.StaleCount, settlement.Tip)
-	for _, ref := range settlement.Refs {
-		if !cfg.Schedule.Referenceable(ref.Distance) {
-			continue
-		}
-		if cfg.Population.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
-			result.PoolUncleDistances.Observe(ref.Distance)
-		} else {
-			result.HonestUncleDistances.Observe(ref.Distance)
-		}
-	}
+	st.commitSnap()
+	result := s.assemble(floor)
+	result.PoolUncleDistances.Merge(&st.poolDist)
+	result.HonestUncleDistances.Merge(&st.honestDist)
 	if s.timing {
-		s.timeWindows(&result, settlement.Tip)
+		st.assembleWindows(&result)
 	}
 	return result, nil
 }
 
-// assemble builds the Result fields both settlement paths share from the
-// settled per-miner tallies and block counts, with the chain settled at tip.
-// Summing the dense tallies in miner-ID order keeps the float accumulation
-// order deterministic (the map view has no stable order).
-func (s *simulator) assemble(rewards []chain.Reward, seen []bool, regular, uncles, stale int, tip chain.BlockID) Result {
+// assemble builds the Result from the settler's tallies, with the chain
+// settled at tip. Summing the dense tallies in miner-ID order keeps the
+// float accumulation order deterministic (the map view has no stable order).
+func (s *simulator) assemble(tip chain.BlockID) Result {
 	pop := s.cfg.Population
+	settler := s.str.settler
+	regular, uncles := settler.RegularCount(), settler.UncleCount()
+	// The settler's buffers are reused across a Runner's runs; the Result
+	// owns copies.
+	rewards := append([]chain.Reward(nil), settler.MinerRewards()...)
 	result := Result{
 		Alpha:           pop.Alpha(),
 		Blocks:          s.cfg.Blocks,
 		ByPool:          make([]chain.Reward, pop.NumPools()+1),
 		MinerRewards:    rewards,
-		MinerSeen:       seen,
+		MinerSeen:       append([]bool(nil), settler.MinerSeen()...),
 		RegularCount:    regular,
 		UncleCount:      uncles,
-		StaleCount:      stale,
+		StaleCount:      s.tree.Len() - 1 - regular - uncles,
 		EventsByPool:    append([]int64(nil), s.events...),
 		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
 	}

@@ -16,15 +16,21 @@ import (
 // with the version stamp in the row stores' headers, this makes "same
 // schema version" mean "bit-for-bit the same row layout".
 var resultSchemas = map[int]string{
-	1: "sim.Result{Alpha:float64;Blocks:int;ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};" +
-		"Early:sim.Window{ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};End:float64;Regular:int;Start:float64;Uncles:int};" +
-		"Elapsed:float64;EventsByPool:[]int64;FinalDifficulty:float64;" +
-		"Honest:chain.Reward{Nephew:float64;Static:float64;Uncle:float64};HonestUncleDistances:stats.Counter{};InitialDifficulty:float64;" +
-		"MinerRewards:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};MinerSeen:[]bool;Occupancy:map[core.State{H:int;S:int}]int64;" +
-		"OccupancyByPool:[]map[core.State{H:int;S:int}]int64;Pool:chain.Reward{Nephew:float64;Static:float64;Uncle:float64};PoolUncleDistances:stats.Counter{};" +
-		"RegularCount:int;Retargets:int;SettledTime:float64;StaleCount:int;" +
-		"Steady:sim.Window{ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};End:float64;Regular:int;Start:float64;Uncles:int};UncleCount:int}",
+	1: resultShapeV1,
+	// Version 2 keeps version 1's shape: only row addresses changed, when
+	// streaming settlement became the engine and the jobkey stopped
+	// encoding the streaming flag.
+	2: resultShapeV1,
 }
+
+const resultShapeV1 = "sim.Result{Alpha:float64;Blocks:int;ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};" +
+	"Early:sim.Window{ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};End:float64;Regular:int;Start:float64;Uncles:int};" +
+	"Elapsed:float64;EventsByPool:[]int64;FinalDifficulty:float64;" +
+	"Honest:chain.Reward{Nephew:float64;Static:float64;Uncle:float64};HonestUncleDistances:stats.Counter{};InitialDifficulty:float64;" +
+	"MinerRewards:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};MinerSeen:[]bool;Occupancy:map[core.State{H:int;S:int}]int64;" +
+	"OccupancyByPool:[]map[core.State{H:int;S:int}]int64;Pool:chain.Reward{Nephew:float64;Static:float64;Uncle:float64};PoolUncleDistances:stats.Counter{};" +
+	"RegularCount:int;Retargets:int;SettledTime:float64;StaleCount:int;" +
+	"Steady:sim.Window{ByPool:[]chain.Reward{Nephew:float64;Static:float64;Uncle:float64};End:float64;Regular:int;Start:float64;Uncles:int};UncleCount:int}"
 
 // describeType renders a type's exported structure canonically: struct
 // fields sorted by name and every struct expanded in place (a recursive

@@ -97,7 +97,7 @@ const noRef int32 = -1
 // tip, a reorg's depth to switch branches — so chain-membership tests are a
 // ring load instead of a parent-pointer walk. Moves dereference only blocks
 // on the new chain within len(ring) heights of its tip, never held IDs, so
-// the view stays safe while streaming evicts the settled prefix below it.
+// the view stays safe while settlement evicts the settled prefix below it.
 type chainView struct {
 	ring    []chain.BlockID
 	tip     chain.BlockID
@@ -194,8 +194,7 @@ type Config struct {
 	// path instead of the compiled decision tables eligible strategies
 	// normally run on (see DecisionTable). Tables never change results —
 	// they are validated snapshots of the same reactions — so this is a
-	// diagnostic knob: equivalence tests flip it to compare the paths,
-	// and -notables exposes it on the CLI.
+	// diagnostic knob: the equivalence tests flip it to compare the paths.
 	NoDecisionTables bool
 
 	// Time configures the continuous-time axis: exponential inter-arrival
@@ -221,17 +220,6 @@ type Config struct {
 	// Strategies must be stateless functions of their frame, which the
 	// Strategy contract already requires.
 	FastForward bool
-
-	// Streaming settles the chain incrementally as the consensus floor
-	// advances and evicts settled records from the block tree, keeping
-	// resident memory O(active race window) instead of O(run length) —
-	// the mode multi-million-block horizons require (see stream.go).
-	// Results are bit-identical to the default one-shot settlement except
-	// Result.Steady, whose start snaps to a cumulative snapshot boundary
-	// (within 1/2048 of the run; exact for runs short enough that the
-	// snapshot interval is still one block). The final tree is partial, so
-	// RunTrace rejects the mode.
-	Streaming bool
 
 	// Antithetic runs the simulation on the antithetic mirror of the
 	// seed's random streams: every uniform draw u is reflected to
@@ -397,18 +385,17 @@ type simulator struct {
 	observedTo       chain.BlockID
 	obsScratch       []chain.BlockID
 
-	// published[id - idBase] reports whether honest miners can see the
-	// block. Unpublished blocks are additionally visible to the pool that
-	// mined them. idBase tracks the tree's eviction base under streaming
-	// (always zero otherwise), so both per-block arrays stay as dense ID
-	// indexes while the settled prefix is evicted out from under them.
+	// published[id - tree.Base()] reports whether honest miners can see
+	// the block. Unpublished blocks are additionally visible to the pool
+	// that mined them. Both per-block arrays (this and inRecent) are
+	// indexed from the tree's eviction base, so they stay dense while the
+	// settled prefix is evicted out from under them.
 	published []bool
-	idBase    int
 
-	// str is the streaming-settlement overlay (see stream.go); nil unless
-	// cfg.Streaming, so the non-streaming hot path pays one nil check per
-	// event.
-	str *streamState
+	// str is the streaming settlement (see stream.go). keepTree turns its
+	// eviction off so the final tree is whole; RunTrace sets it.
+	str      *streamState
+	keepTree bool
 
 	// recent is a sliding window of blocks used as uncle candidates;
 	// entries carry their height so trimming and filtering never touch
@@ -521,15 +508,13 @@ func (s *simulator) init(cfg Config) {
 	if window > maxReferenceWindow {
 		window = maxReferenceWindow
 	}
-	// One block per event: size the tree (and the per-block arrays below)
-	// up front so they never reallocate mid-run. Under streaming the
-	// resident set is a window over the run, so the hint drops to a few
-	// flush batches — this is the O(blocks) -> O(window) memory change.
+	// Size the tree (and the per-block arrays below) up front so they
+	// never reallocate mid-run: the resident set is a window of a few
+	// flush batches over the run, or one block per event when the whole
+	// tree is kept.
 	blocksHint := cfg.Blocks
-	if cfg.Streaming {
-		if h := 4 * (window + 1 + streamFlushBatch); h < blocksHint {
-			blocksHint = h
-		}
+	if h := 4 * (window + 1 + streamFlushBatch); h < blocksHint && !s.keepTree {
+		blocksHint = h
 	}
 	treeCfg := chain.Config{
 		// The tree enforces the protocol's reference-depth rule so a
@@ -782,7 +767,7 @@ func (s *simulator) extend(parent chain.BlockID, miner chain.MinerID, uncles []c
 		}
 	}
 	if firstSibling != chain.NoBlock {
-		if s.tree.NextSiblingOf(firstSibling) == id && s.inRecent[int(firstSibling)-s.idBase] {
+		if s.tree.NextSiblingOf(firstSibling) == id && s.inRecent[firstSibling-s.tree.Base()] {
 			// Siblings share a height, so the denormalized height
 			// of the promoted first child equals the newborn's.
 			s.addForkChild(candidate{id: firstSibling, parent: parent, height: height, refs: noRef, last: noRef})
@@ -817,7 +802,7 @@ func (s *simulator) trimRecent(minHeight int) {
 	head := s.recentHead
 	for head < len(s.recent) && s.recent[head].height < minHeight {
 		old := s.recent[head].id
-		s.inRecent[int(old)-s.idBase] = false
+		s.inRecent[old-s.tree.Base()] = false
 		// Scanning the tiny fork-child set directly is cheaper than
 		// asking the tree whether old is a fork child first.
 		if len(s.forkChildren) > 0 {
@@ -837,7 +822,7 @@ func (s *simulator) trimRecent(minHeight int) {
 // honest miners.
 func (s *simulator) publishPool(p *poolState, n int) {
 	for i := p.published; i < n && i < len(p.blocks); i++ {
-		s.published[int(p.blocks[i])-s.idBase] = true
+		s.published[p.blocks[i]-s.tree.Base()] = true
 	}
 	if n > p.published {
 		p.published = n
@@ -949,7 +934,7 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 		if c.height < lowest || c.height >= newHeight {
 			continue
 		}
-		if !s.published[int(c.id)-s.idBase] &&
+		if !s.published[c.id-s.tree.Base()] &&
 			(viewer == mining.HonestPool || s.poolOf(c.id) != viewer) {
 			continue // invisible to this viewer
 		}

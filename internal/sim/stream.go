@@ -2,16 +2,18 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
-// This file is the streaming-settlement overlay (Config.Streaming): instead
-// of retaining the whole run and settling it in one end-of-run walk, the
-// engine settles the decided prefix incrementally as the consensus floor
-// advances and evicts settled records from the tree, keeping resident memory
-// O(active race window) instead of O(run length).
+// This file is the engine's settlement: instead of retaining the whole run
+// and settling it in one end-of-run walk, the engine settles the decided
+// prefix incrementally as the consensus floor advances and evicts settled
+// records from the tree, keeping resident memory O(active race window)
+// instead of O(run length). RunTrace keeps the settlement and turns only
+// the eviction off, so its whole tree comes with the same Result.
 //
 // The contract, layer by layer:
 //
@@ -32,15 +34,15 @@ import (
 //     (sweepDeadRecent) pins at or above sH - window - 1 for every
 //     window >= 1.
 //   - Bit-identity. The incremental tallies equal the one-shot Settle walk
-//     bit for bit (see chain.StreamSettler); Result assembly then sums them
-//     in the same miner-ID order. The only intentionally weaker field is
-//     Steady, whose start rounds down to a cumulative snapshot (below).
+//     at the final floor bit for bit (see chain.StreamSettler); Result
+//     assembly sums them in miner-ID order. Steady's start rounds down to a
+//     cumulative snapshot (below) instead of the exact midpoint.
 //
 // Flushes are batched (streamFlushBatch settled heights at a time) so the
 // amortized cost per block is a handful of moves, mirroring the candidate
 // window's trim batching.
 
-// streamFlushBatch is the settled-height backlog at which the overlay
+// streamFlushBatch is the settled-height backlog at which the engine
 // settles and evicts. Larger batches amortize the compaction copy-down
 // further at the cost of a proportionally larger resident suffix; 256 keeps
 // both far below cache sizes.
@@ -54,83 +56,79 @@ const maxStreamSnaps = 2048
 
 // streamSnap is one cumulative time-window snapshot: the whole settled
 // chain's window tallies through the block at height h, stamped with that
-// block's time.
+// block's time. Its per-pool tallies live in streamState.snapPools.
 type streamSnap struct {
 	height  int
 	time    float64
 	regular int
 	uncles  int
-	byPool  []chain.Reward
 }
 
-// streamState holds the streaming-settlement overlay's per-run state.
+// streamState holds the settlement's per-run state.
 type streamState struct {
 	settler *chain.StreamSettler
 
-	// hooks is the settler callback pair, built once per run so flushes
-	// allocate nothing.
+	// hooks is the settler callback pair, built once per simulator so
+	// neither flushes nor run restarts allocate.
 	hooks chain.SettleHooks
 
 	// poolDist and honestDist accumulate realized reference distances by
-	// the uncle's camp — the streaming counterpart of settleRun's pass
-	// over Settlement.Refs.
+	// the uncle's camp.
 	poolDist, honestDist stats.Counter
 
-	// Time-window accumulation (timed runs only; windows gates it).
-	windows bool
-	epoch   int
-	early   Window // heights <= epoch; End stamped when height epoch settles
-	cum     Window // cumulative over the whole settled chain
+	// Time-window accumulation (timed runs only).
+	epoch int
+	early Window // heights <= epoch; End stamped when height epoch settles
+	cum   Window // cumulative over the whole settled chain
 
 	// snaps, snapInterval, and the pending pair implement the Steady
 	// window's cumulative snapshots. A snapshot of height h must include
 	// block h's own references, which arrive after its OnBlock; so a due
 	// snapshot is held pending and committed when the next block opens
-	// (or at final assembly).
+	// (or at final assembly). snapPools holds snapshot i's per-pool
+	// tallies at [i*n, (i+1)*n) for n = len(cum.ByPool), one reused
+	// buffer instead of an allocation per snapshot.
 	snaps         []streamSnap
+	snapPools     []chain.Reward
 	snapInterval  int
 	pendingHeight int
 	pendingTime   float64
 }
 
-// initStream prepares the streaming overlay for one run (or disables it).
+// initStream prepares the settlement for one run.
 func (s *simulator) initStream(cfg Config) {
-	s.idBase = 0
-	if !cfg.Streaming {
-		s.str = nil
-		return
-	}
 	if s.str == nil {
-		s.str = &streamState{}
+		s.str = &streamState{
+			settler: chain.NewStreamSettler(cfg.Schedule),
+			hooks:   chain.SettleHooks{OnBlock: s.streamBlock, OnRef: s.streamRef},
+		}
 	}
 	st := s.str
-	if st.settler == nil {
-		st.settler = chain.NewStreamSettler(cfg.Schedule)
-	} else {
-		st.settler.Reset(cfg.Schedule)
-	}
-	st.hooks = chain.SettleHooks{OnBlock: s.streamBlock, OnRef: s.streamRef}
-	st.poolDist = stats.Counter{}
-	st.honestDist = stats.Counter{}
-	st.windows = cfg.Time.Enabled
+	st.settler.Reset(cfg.Schedule)
+	st.poolDist.Reset()
+	st.honestDist.Reset()
 	st.snaps = st.snaps[:0]
+	st.snapPools = st.snapPools[:0]
 	st.snapInterval = 1
 	st.pendingHeight = -1
-	if st.windows {
+	if s.timing {
 		st.epoch = cfg.Time.Difficulty.Epoch
 		nPools := cfg.Population.NumPools() + 1
-		st.early = Window{ByPool: make([]chain.Reward, nPools)}
-		st.cum = Window{ByPool: make([]chain.Reward, nPools)}
+		early := slices.Grow(st.early.ByPool[:0], nPools)[:nPools]
+		cum := slices.Grow(st.cum.ByPool[:0], nPools)[:nPools]
+		clear(early)
+		clear(cum)
+		st.early, st.cum = Window{ByPool: early}, Window{ByPool: cum}
 	}
 }
 
 // streamBlock is the settler's per-block hook: window accumulation and
 // snapshot bookkeeping. Reward-tally work lives in the settler itself.
 func (s *simulator) streamBlock(id chain.BlockID, height int) {
-	st := s.str
-	if !st.windows {
+	if !s.timing {
 		return
 	}
+	st := s.str
 	st.commitSnap()
 	at := s.tree.TimeOf(id)
 	minerPool := s.poolOf(id)
@@ -161,7 +159,7 @@ func (s *simulator) streamRef(ref chain.UncleRef) {
 	} else {
 		st.honestDist.Observe(ref.Distance)
 	}
-	if !st.windows {
+	if !s.timing {
 		return
 	}
 	nephewPool := s.poolOf(ref.Nephew)
@@ -190,25 +188,28 @@ func (st *streamState) commitSnap() {
 		time:    st.pendingTime,
 		regular: st.cum.Regular,
 		uncles:  st.cum.Uncles,
-		byPool:  append([]chain.Reward(nil), st.cum.ByPool...),
 	})
+	st.snapPools = append(st.snapPools, st.cum.ByPool...)
 	st.pendingHeight = -1
 	if len(st.snaps) < maxStreamSnaps {
 		return
 	}
 	st.snapInterval *= 2
-	kept := st.snaps[:0]
-	for _, sn := range st.snaps {
+	n := len(st.cum.ByPool)
+	kept, keptPools := st.snaps[:0], st.snapPools[:0]
+	for i, sn := range st.snaps {
 		if sn.height%st.snapInterval == 0 {
 			kept = append(kept, sn)
+			keptPools = append(keptPools, st.snapPools[i*n:(i+1)*n]...)
 		}
 	}
-	st.snaps = kept
+	st.snaps, st.snapPools = kept, keptPools
 }
 
-// streamFloor returns the floor the overlay settles against: the maintained
-// consensus floor, or the public tip for a poolless population (whose floor
-// never advances — resolve is pool-triggered), mirroring observeSettled.
+// streamFloor returns the settled floor every consumer of the decided prefix
+// reads between events (settlement, the difficulty feed, the audit): the
+// maintained consensus floor, or the public tip for a poolless population
+// (whose floor never advances — resolve is pool-triggered).
 func (s *simulator) streamFloor() chain.BlockID {
 	if len(s.pools) == 0 {
 		return s.pubTip
@@ -222,9 +223,6 @@ func (s *simulator) streamFloor() chain.BlockID {
 // batching gate makes the common case one subtraction.
 func (s *simulator) flushStream() error {
 	st := s.str
-	if st == nil {
-		return nil
-	}
 	floor := s.streamFloor()
 	sH := s.tree.HeightOf(floor) - (s.window + 1)
 	if sH-st.settler.SettledHeight() < streamFlushBatch {
@@ -232,14 +230,16 @@ func (s *simulator) flushStream() error {
 	}
 	target := s.tree.AncestorAt(floor, sH)
 	if err := st.settler.Advance(s.tree, target, st.hooks); err != nil {
-		return fmt.Errorf("sim: streaming settle: %w", err)
+		return fmt.Errorf("sim: settling: %w", err)
 	}
 	s.evictSettled()
 	return nil
 }
 
 // evictSettled drops tree records the settle boundary has released and
-// rebases the published/inRecent arrays to the tree's new ID base.
+// rebases the published/inRecent arrays to the tree's new ID base. With
+// keepTree only the sweep runs, so a traced run's engine state matches an
+// evicting run's.
 //
 // Before compacting it force-sweeps the candidate window below the keep
 // bound: the amortized trim scans in ID order and stops at the first tall
@@ -254,16 +254,15 @@ func (s *simulator) flushStream() error {
 func (s *simulator) evictSettled() {
 	minKeep := s.str.settler.SettledHeight() - s.window
 	s.sweepDeadRecent(minKeep)
-	if s.tree.CompactBelow(minKeep-1) == 0 {
+	base := s.tree.Base()
+	if s.keepTree || s.tree.CompactBelow(minKeep-1) == 0 {
 		return
 	}
-	base := int(s.tree.Base())
-	shift := base - s.idBase
+	shift := s.tree.Base() - base
 	n := copy(s.published, s.published[shift:])
 	s.published = s.published[:n]
 	n = copy(s.inRecent, s.inRecent[shift:])
 	s.inRecent = s.inRecent[:n]
-	s.idBase = base
 }
 
 // sweepDeadRecent removes every candidate-window entry below minHeight,
@@ -277,7 +276,7 @@ func (s *simulator) sweepDeadRecent(minHeight int) {
 	kept := live[:0]
 	for _, wb := range live {
 		if wb.height < minHeight {
-			s.inRecent[int(wb.id)-s.idBase] = false
+			s.inRecent[wb.id-s.tree.Base()] = false
 			if len(s.forkChildren) > 0 {
 				s.removeForkChild(wb.id)
 			}
@@ -286,33 +285,6 @@ func (s *simulator) sweepDeadRecent(minHeight int) {
 		kept = append(kept, wb)
 	}
 	s.recent = s.recent[:s.recentHead+len(kept)]
-}
-
-// settleStream assembles the Result of a streaming run: advance the settler
-// over the still-unsettled suffix up to the final consensus floor, then read
-// the Result fields off the accumulated tallies. Every field except Steady
-// is bit-identical to the one-shot settleRun; Steady's start rounds down to
-// the nearest cumulative snapshot (exact while the run is short enough that
-// the snapshot interval is still one block).
-func settleStream(s *simulator) (Result, error) {
-	st := s.str
-	floor := s.consensusFloor()
-	if err := st.settler.Advance(s.tree, floor, st.hooks); err != nil {
-		return Result{}, fmt.Errorf("sim: streaming settle: %w", err)
-	}
-	st.commitSnap()
-	regular, uncles := st.settler.RegularCount(), st.settler.UncleCount()
-	// The settler's buffers are reused across a Runner's runs; the Result
-	// owns copies.
-	result := s.assemble(append([]chain.Reward(nil), st.settler.MinerRewards()...),
-		append([]bool(nil), st.settler.MinerSeen()...),
-		regular, uncles, s.tree.Len()-1-regular-uncles, floor)
-	result.PoolUncleDistances.Merge(&st.poolDist)
-	result.HonestUncleDistances.Merge(&st.honestDist)
-	if s.timing {
-		st.assembleWindows(&result)
-	}
-	return result, nil
 }
 
 // assembleWindows finalizes the Early window and derives Steady from the
@@ -333,10 +305,12 @@ func (st *streamState) assembleWindows(result *Result) {
 	// no snapshot that deep (short runs, or regular/2 == 0) the zero
 	// snapshot applies and Steady spans the whole settled chain from t=0.
 	steadyStart := result.RegularCount / 2
+	n := len(st.cum.ByPool)
 	var base streamSnap
+	var basePools []chain.Reward
 	for i := len(st.snaps) - 1; i >= 0; i-- {
 		if st.snaps[i].height <= steadyStart {
-			base = st.snaps[i]
+			base, basePools = st.snaps[i], st.snapPools[i*n:(i+1)*n]
 			break
 		}
 	}
@@ -349,8 +323,8 @@ func (st *streamState) assembleWindows(result *Result) {
 	}
 	for i, c := range st.cum.ByPool {
 		var b chain.Reward
-		if i < len(base.byPool) {
-			b = base.byPool[i]
+		if i < len(basePools) {
+			b = basePools[i]
 		}
 		steady.ByPool[i] = chain.Reward{
 			Static: c.Static - b.Static,

@@ -6,22 +6,26 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
+	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
-// The streaming overlay promises bit-identity with the one-shot settlement
-// for every Result field except Steady, whose start rounds down to a
-// cumulative snapshot; while the snapshot interval is still one block (runs
-// short enough that the settled chain fits the ring) even Steady is exact.
-// These tests pin that promise across every engine mode the overlay touches:
-// timeless and timed, both difficulty rules, fast-forward, uncle caps,
-// multi-pool and 1000-miner populations, and the Bitcoin window=1 boundary.
+// Settlement streams on every run: the engine folds the decided prefix into
+// dense tallies as the consensus floor advances and evicts what it settled.
+// These tests pin it against oracles that read the whole tree instead:
+// chain.Settle at the final floor for every settled field, and
+// referenceWindows for Early (exact) and Steady (exact while the snapshot
+// interval is still one block, else within the ring's rounding). The cases
+// cover every engine mode settlement touches: timeless and timed, both
+// difficulty rules, fast-forward, uncle caps, multi-pool and 1000-miner
+// populations, and the Bitcoin window=1 boundary.
 
 // streamEquivCase is one pinned configuration; exact marks runs short enough
 // that the Steady snapshot interval stays at one block, making the whole
-// Result (Steady included) bit-identical.
+// Result (Steady included) bit-identical to the oracle.
 type streamEquivCase struct {
 	name  string
 	cfg   Config
@@ -102,96 +106,197 @@ func diffResults(t *testing.T, want, got Result) {
 	typ := reflect.TypeOf(want)
 	for i := 0; i < typ.NumField(); i++ {
 		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
-			t.Errorf("field %s diverges:\n one-shot: %+v\nstreaming: %+v",
+			t.Errorf("field %s diverges:\n  want: %+v\n   got: %+v",
 				typ.Field(i).Name, wv.Field(i).Interface(), gv.Field(i).Interface())
 		}
 	}
 }
 
-// TestStreamingEquivalence pins the streaming overlay bit for bit against
-// the one-shot settlement at the same seed, and again with the runtime
-// auditor enabled (exercising the streaming conservation and clamped
+// traceRun runs cfg the way RunTrace does — settling as it goes but
+// evicting nothing — and returns the finished simulator with its Result, so
+// the oracles below can read the whole tree and the final floor.
+func traceRun(t *testing.T, cfg Config) (*simulator, Result) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := &simulator{keepTree: true}
+	s.init(cfg)
+	result, err := settleRun(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.tree.Evicted() != 0 {
+		t.Fatal("traced run evicted records")
+	}
+	return s, result
+}
+
+// oneShotResult re-derives every settled field of a traced run's Result
+// from one chain.Settle walk over its whole tree at the final consensus
+// floor, summed in miner-ID order, and the time windows from
+// referenceWindows. Fields settlement does not touch (event counts,
+// occupancy, clock and difficulty) are taken from traced unchanged.
+func oneShotResult(t *testing.T, s *simulator, traced Result) Result {
+	t.Helper()
+	cfg := s.cfg
+	settlement, err := s.tree.Settle(s.consensusFloor(), cfg.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := traced
+	want.MinerRewards, want.MinerSeen = settlement.MinerRewards, settlement.MinerSeen
+	want.RegularCount, want.UncleCount, want.StaleCount =
+		settlement.RegularCount, settlement.UncleCount, settlement.StaleCount
+	want.Pool, want.Honest = chain.Reward{}, chain.Reward{}
+	want.ByPool = make([]chain.Reward, len(traced.ByPool))
+	for id, reward := range settlement.MinerRewards {
+		pool := cfg.Population.PoolOf(chain.MinerID(id))
+		want.ByPool[pool] = want.ByPool[pool].Add(reward)
+		if pool != mining.HonestPool {
+			want.Pool = want.Pool.Add(reward)
+		} else {
+			want.Honest = want.Honest.Add(reward)
+		}
+	}
+	want.PoolUncleDistances, want.HonestUncleDistances = stats.Counter{}, stats.Counter{}
+	for _, ref := range settlement.Refs {
+		if !cfg.Schedule.Referenceable(ref.Distance) {
+			continue
+		}
+		if cfg.Population.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
+			want.PoolUncleDistances.Observe(ref.Distance)
+		} else {
+			want.HonestUncleDistances.Observe(ref.Distance)
+		}
+	}
+	if s.timing {
+		want.SettledTime = s.tree.TimeOf(settlement.Tip)
+		want.Early, want.Steady = referenceWindows(s, settlement.Tip, settlement.RegularCount)
+	}
+	return want
+}
+
+// referenceWindows splits the settled chain below floor into the Result's
+// two windows by one walk over the whole tree: Early covers the first
+// min(epoch, regular) regular blocks and Steady the trailing half, starting
+// exactly at height regular/2. Each window's rewards are attributed by the
+// rewarding regular block's position on the chain.
+func referenceWindows(s *simulator, floor chain.BlockID, regular int) (early, steady Window) {
+	tree := s.tree
+	earlyEnd := min(s.cfg.Time.Difficulty.Epoch, regular)
+	steadyStart := regular / 2
+	nPools := s.cfg.Population.NumPools() + 1
+	early = Window{ByPool: make([]chain.Reward, nPools)}
+	steady = Window{ByPool: make([]chain.Reward, nPools), End: tree.TimeOf(floor)}
+	tally := func(w *Window, minerPool mining.PoolID, height int, uncles []chain.BlockID) {
+		w.Regular++
+		w.ByPool[minerPool].Static++
+		for _, u := range uncles {
+			d := height - tree.HeightOf(u)
+			if !s.cfg.Schedule.Referenceable(d) {
+				continue
+			}
+			w.Uncles++
+			w.ByPool[minerPool].Nephew += s.cfg.Schedule.Nephew(d)
+			w.ByPool[s.poolOf(u)].Uncle += s.cfg.Schedule.Uncle(d)
+		}
+	}
+	for id := floor; id != tree.Genesis(); id = tree.ParentOf(id) {
+		_, height, uncles := tree.BlockInfo(id)
+		at := tree.TimeOf(id)
+		if height == earlyEnd {
+			early.End = at
+		}
+		if height == steadyStart {
+			steady.Start = at
+		}
+		minerPool := s.poolOf(id)
+		if height <= earlyEnd {
+			tally(&early, minerPool, height, uncles)
+		}
+		if height > steadyStart {
+			tally(&steady, minerPool, height, uncles)
+		}
+	}
+	return early, steady
+}
+
+// TestStreamingEquivalence pins Run bit for bit against the one-shot
+// oracle over the traced tree at the same seed, and again with the runtime
+// auditor enabled (exercising the settler conservation and clamped
 // timestamp audits along the way).
 func TestStreamingEquivalence(t *testing.T) {
 	for _, c := range streamEquivCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			base, err := Run(c.cfg)
+			s, traced := traceRun(t, c.cfg)
+			got, err := Run(c.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			streamCfg := c.cfg
-			streamCfg.Streaming = true
-			stream, err := Run(streamCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			auditCfg := streamCfg
+			auditCfg := c.cfg
 			auditCfg.Audit = AuditConfig{Enabled: true, SampleEvery: 512}
 			audited, err := Run(auditCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			want := base
+			want := oneShotResult(t, s, traced)
 			if !c.exact {
 				// Long timed runs overflow the snapshot ring: Steady's
 				// start rounds down to a coarser snapshot, so it is
-				// compared by rate below instead of bit for bit.
+				// compared by rate in TestStreamingSteadyApproximation.
 				want.Steady = Window{}
-				stream.Steady, audited.Steady = Window{}, Window{}
+				got.Steady, audited.Steady = Window{}, Window{}
 			}
-			if !reflect.DeepEqual(want, stream) {
-				diffResults(t, want, stream)
+			if !reflect.DeepEqual(want, got) {
+				diffResults(t, want, got)
 			}
 			if !reflect.DeepEqual(want, audited) {
-				t.Error("audited streaming run diverges from unaudited:")
+				t.Error("audited run diverges from the oracle:")
 				diffResults(t, want, audited)
 			}
 		})
 	}
 }
 
-// TestStreamingSteadyApproximation bounds the only intentional divergence:
-// on a run long enough to coarsen the snapshot ring, the streaming Steady
-// window must still start at or below the one-shot midpoint, stay within a
-// ring-granularity margin of it, and report reward rates within a fraction
-// of a percent of the exact window's.
+// TestStreamingSteadyApproximation bounds the snapshot ring's rounding: on
+// a run long enough to coarsen the ring, the Steady window must still start
+// at or below the exact midpoint, stay within a ring-granularity margin of
+// it, and report reward rates within a fraction of a percent of the exact
+// window's; Early stays exact.
 func TestStreamingSteadyApproximation(t *testing.T) {
 	cfg := timedConfig(t, 0.35, 30000, difficulty.EIP100)
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Streaming = true
-	stream, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	s, stream := traceRun(t, cfg)
+	base := oneShotResult(t, s, stream)
+	if !reflect.DeepEqual(base.Early, stream.Early) {
+		t.Errorf("early window %+v, reference %+v", stream.Early, base.Early)
 	}
 
 	bs, ss := base.Steady, stream.Steady
 	if ss.End != bs.End {
-		t.Errorf("steady end %v, one-shot %v", ss.End, bs.End)
+		t.Errorf("steady end %v, reference %v", ss.End, bs.End)
 	}
 	if ss.Start > bs.Start {
-		t.Errorf("steady start %v after one-shot midpoint %v (must round down)", ss.Start, bs.Start)
+		t.Errorf("steady start %v after the exact midpoint %v (must round down)", ss.Start, bs.Start)
 	}
 	if ss.Regular < bs.Regular {
-		t.Errorf("steady window regulars %d, one-shot %d: rounding down must only widen", ss.Regular, bs.Regular)
+		t.Errorf("steady window regulars %d, reference %d: rounding down must only widen", ss.Regular, bs.Regular)
 	}
 	// The ring keeps at least maxStreamSnaps/2 snapshots, so the start can
 	// overshoot the midpoint by at most ~2/maxStreamSnaps of the chain.
 	margin := 4*base.RegularCount/maxStreamSnaps + 1
 	if ss.Regular > bs.Regular+margin {
-		t.Errorf("steady window regulars %d exceed one-shot %d by more than the ring margin %d",
+		t.Errorf("steady window regulars %d exceed reference %d by more than the ring margin %d",
 			ss.Regular, bs.Regular, margin)
 	}
 	for pool := range bs.ByPool {
 		got, want := ss.RateOf(mining.PoolID(pool)), bs.RateOf(mining.PoolID(pool))
 		if math.Abs(got-want) > 0.01*math.Max(want, 1e-9) {
-			t.Errorf("pool %d steady rate %v, one-shot %v (tolerance 1%%)", pool, got, want)
+			t.Errorf("pool %d steady rate %v, reference %v (tolerance 1%%)", pool, got, want)
 		}
 	}
 }
@@ -207,17 +312,17 @@ func allocDelta(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestStreamingMemoryIsWindowBounded pins the tentpole property: on a
-// warmed Runner a streaming run's allocations are bounded by the race
-// window and the Result size, not the run length — quadrupling the block
-// count must not even double the allocated bytes. (The one-shot path grows
-// its tree arrays with the run and fails this bound by design.)
+// TestStreamingMemoryIsWindowBounded pins the settlement's memory property:
+// on a warmed Runner a run's allocations are bounded by the race window and
+// the Result size, not the run length — quadrupling the block count must
+// not even double the allocated bytes. (A whole-tree run grows its tree
+// arrays with the run and fails this bound by design.)
 func TestStreamingMemoryIsWindowBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-horizon memory measurement")
 	}
 	cfg := func(blocks int) Config {
-		return Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: blocks, Seed: 3, Streaming: true}
+		return Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: blocks, Seed: 3}
 	}
 	var runner Runner
 	if _, err := runner.Run(cfg(50000)); err != nil { // warm all reusable storage
@@ -239,43 +344,69 @@ func TestStreamingMemoryIsWindowBounded(t *testing.T) {
 	}
 }
 
-// TestStreamingRejectsTrace pins the RunTrace guard: tracing needs the full
-// block tree, which streaming evicts.
-func TestStreamingRejectsTrace(t *testing.T) {
-	cfg := Config{Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 100, Seed: 1, Streaming: true}
-	if _, _, err := RunTrace(cfg); err == nil {
-		t.Fatal("RunTrace accepted a streaming config")
+// TestRunTraceKeepsWholeTree pins RunTrace's contract on a timed EIP100
+// run long enough to evict: the traced tree keeps every record, and the
+// traced Result equals a reused Runner's, which evicts.
+func TestRunTraceKeepsWholeTree(t *testing.T) {
+	cfg := timedConfig(t, 0.35, 20000, difficulty.EIP100)
+	traced, tree, err := RunTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Evicted() != 0 || tree.Len() != cfg.Blocks+1 {
+		t.Errorf("traced tree evicted %d records and holds %d, want 0 and %d",
+			tree.Evicted(), tree.Len(), cfg.Blocks+1)
+	}
+	var runner Runner
+	if _, err := runner.Run(timedConfig(t, 0.25, 3000, difficulty.BitcoinStyle)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := runner.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runner.s.tree.Evicted() == 0 {
+		t.Fatal("the Runner never evicted: the run is too short to pin the contract")
+	}
+	if !reflect.DeepEqual(traced, got) {
+		t.Error("RunTrace diverges from Runner.Run:")
+		diffResults(t, got, traced)
 	}
 }
 
-// TestStreamingRunnerReuse pins Runner reuse across mode flips: a Runner
-// must produce identical results switching streaming on, off, and on again
-// (stale overlay state from a previous run must never leak).
+// TestStreamingRunnerReuse pins Runner reuse across configurations: a
+// Runner must reproduce a run exactly after running a different
+// configuration in between (stale settlement state from a previous run must
+// never leak), and the run in between must equal a fresh Run.
 func TestStreamingRunnerReuse(t *testing.T) {
-	plain := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 5000, Seed: 21}
-	streaming := plain
-	streaming.Streaming = true
+	first := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 5000, Seed: 21}
+	multi, err := mining.MultiAgent(0.25, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	between := timedConfig(t, 0.3, 5000, difficulty.EIP100)
+	between.Population = multi
 
 	var runner Runner
-	first, err := runner.Run(streaming)
+	want, err := runner.Run(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := runner.Run(plain)
+	mid, err := runner.Run(between)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := runner.Run(streaming)
+	again, err := runner.Run(first)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	if !reflect.DeepEqual(first, again) {
-		t.Error("streaming runs on a reused Runner diverge:")
-		diffResults(t, first, again)
+	if !reflect.DeepEqual(want, again) {
+		t.Error("runs on a reused Runner diverge:")
+		diffResults(t, want, again)
 	}
-	if !reflect.DeepEqual(first, mid) {
-		t.Error("one-shot run sandwiched between streaming runs diverges:")
-		diffResults(t, mid, first)
+	if fresh := run(t, between); !reflect.DeepEqual(fresh, mid) {
+		t.Error("run sandwiched on a reused Runner diverges from a fresh run:")
+		diffResults(t, fresh, mid)
 	}
 }

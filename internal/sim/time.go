@@ -73,15 +73,10 @@ func (s *simulator) advanceClock() {
 // controller sees the protocol's actual uncle production, not a model
 // approximation.
 func (s *simulator) observeSettled() {
-	// The end-of-event flushFloor guarantees s.floor equals
-	// consensusFloor() here, so the observation reads the maintained floor
-	// instead of re-walking common ancestors every event. The poolless
-	// engine never resolves (the floor is pool-triggered); its consensus
-	// floor is simply the public tip.
-	floor := s.floor
-	if len(s.pools) == 0 {
-		floor = s.pubTip
-	}
+	// The end-of-event flushFloor guarantees the maintained floor equals
+	// consensusFloor() here, so the observation reads it instead of
+	// re-walking common ancestors every event.
+	floor := s.streamFloor()
 	if floor == s.observedTo {
 		return
 	}
@@ -156,72 +151,6 @@ func safeRate(amount, duration float64) float64 {
 		return 0
 	}
 	return amount / duration
-}
-
-// timeWindows splits the settled chain into the Result's two windows and
-// fills the Result's time fields. The early window covers the first
-// min(epoch, settled) regular blocks — the pre-adjustment difficulty
-// regime: under the Bitcoin-style rule it ends exactly at the first
-// retarget, and under EIP100 the controller has applied at most an epoch of
-// 1/epoch-gain steps there. The steady window covers the trailing half of
-// the settled chain, where the controller has converged. Each window's
-// rewards are attributed by the rewarding regular block's position on the
-// chain.
-func (s *simulator) timeWindows(result *Result, floor chain.BlockID) {
-	tree := s.tree
-	pop := s.cfg.Population
-	regular := result.RegularCount
-	epoch := s.cfg.Time.Difficulty.Epoch
-	earlyEnd := epoch
-	if earlyEnd > regular {
-		earlyEnd = regular
-	}
-	steadyStart := regular / 2
-
-	nPools := len(result.ByPool)
-	early := Window{ByPool: make([]chain.Reward, nPools)}
-	steady := Window{ByPool: make([]chain.Reward, nPools), End: tree.TimeOf(floor)}
-	for id := floor; id != tree.Genesis(); id = tree.ParentOf(id) {
-		_, height, uncles := tree.BlockInfo(id)
-		at := tree.TimeOf(id)
-		if height == earlyEnd {
-			early.End = at
-		}
-		if height == steadyStart {
-			steady.Start = at
-		}
-		inEarly := height <= earlyEnd
-		inSteady := height > steadyStart
-		if !inEarly && !inSteady {
-			continue
-		}
-		minerPool := pop.PoolOf(tree.MinerOf(id))
-		if inEarly {
-			s.tallyWindowBlock(&early, minerPool, height, uncles)
-		}
-		if inSteady {
-			s.tallyWindowBlock(&steady, minerPool, height, uncles)
-		}
-	}
-	result.Early = early
-	result.Steady = steady
-}
-
-// tallyWindowBlock attributes one settled regular block's rewards — its
-// static reward, its nephew bonuses, and its referenced uncles' rewards —
-// to a window.
-func (s *simulator) tallyWindowBlock(w *Window, minerPool mining.PoolID, height int, uncles []chain.BlockID) {
-	w.Regular++
-	w.ByPool[minerPool].Static++
-	for _, u := range uncles {
-		d := height - s.tree.HeightOf(u)
-		if !s.cfg.Schedule.Referenceable(d) {
-			continue
-		}
-		w.Uncles++
-		w.ByPool[minerPool].Nephew += s.cfg.Schedule.Nephew(d)
-		w.ByPool[s.poolOf(u)].Uncle += s.cfg.Schedule.Uncle(d)
-	}
 }
 
 // timeSeed derives the dedicated time-stream seed for a run.

@@ -136,11 +136,14 @@ func TestControllerConvergesInEngine(t *testing.T) {
 }
 
 // TestWindowsPartitionSettledChain: the early window covers the first
-// epoch of settled blocks and the steady window the trailing half; their
-// tallies must be consistent with the whole-run settlement.
+// epoch of settled blocks and the steady window the trailing half, widened
+// down to the nearest cumulative snapshot (every multiple of the ring's
+// final interval is one); their tallies must be consistent with the
+// whole-run settlement.
 func TestWindowsPartitionSettledChain(t *testing.T) {
 	cfg := timedConfig(t, 0.35, 20000, difficulty.BitcoinStyle)
-	result, err := Run(cfg)
+	var runner Runner
+	result, err := runner.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +151,11 @@ func TestWindowsPartitionSettledChain(t *testing.T) {
 	if result.Early.Regular != epoch {
 		t.Errorf("early window has %d regular blocks, want the epoch %d", result.Early.Regular, epoch)
 	}
-	if want := result.RegularCount - result.RegularCount/2; result.Steady.Regular != want {
-		t.Errorf("steady window has %d regular blocks, want the trailing half %d",
-			result.Steady.Regular, want)
+	interval := runner.s.str.snapInterval
+	start := result.RegularCount / 2 / interval * interval
+	if want := result.RegularCount - start; result.Steady.Regular != want {
+		t.Errorf("steady window has %d regular blocks, want the trailing half from snapshot height %d: %d",
+			result.Steady.Regular, start, want)
 	}
 	if result.Early.End <= result.Early.Start || result.Steady.End <= result.Steady.Start {
 		t.Error("window time bounds are degenerate")

@@ -29,6 +29,12 @@ func (c *Counter) ObserveN(k int, n int64) {
 	c.total += n
 }
 
+// Reset empties the counter, keeping its storage for reuse.
+func (c *Counter) Reset() {
+	clear(c.counts)
+	c.total = 0
+}
+
 // Total returns the number of recorded observations.
 func (c *Counter) Total() int64 { return c.total }
 
