@@ -83,7 +83,11 @@ chaos-smoke:
 # The result cache end to end through the CLI: a cold run populates a disk
 # journal, a warm rerun must serve at least one hit and reproduce the
 # figure bit for bit (invariant 3 makes hits exact, so cmp — not a fuzzy
-# diff — is the right check).
+# diff — is the right check). Then the resume path: a sweep into a second
+# directory is cut by a short -timeout (a deadline error is expected; a
+# machine fast enough to finish first is tolerated), and rerunning it
+# without the deadline must serve the completed rows and reproduce the
+# cold output bit for bit.
 cache-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) run ./cmd/ethselfish -quick -cachedir "$$dir/cache" fig8 \
@@ -92,17 +96,22 @@ cache-smoke:
 		> "$$dir/warm.out" 2> "$$dir/warm.err"; \
 	cmp "$$dir/cold.out" "$$dir/warm.out"; \
 	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/warm.err"; \
-	echo "cache-smoke: warm rerun bit-identical and served from cache"
+	$(GO) run ./cmd/ethselfish -quick -cachedir "$$dir/resume" -timeout 100ms fig8 \
+		> /dev/null 2> "$$dir/cut.err" || grep -q 'deadline exceeded' "$$dir/cut.err"; \
+	$(GO) run ./cmd/ethselfish -quick -cachedir "$$dir/resume" fig8 \
+		> "$$dir/resumed.out" 2> "$$dir/resumed.err"; \
+	cmp "$$dir/cold.out" "$$dir/resumed.out"; \
+	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/resumed.err"; \
+	echo "cache-smoke: warm rerun and resumed sweep bit-identical and served from cache"
 
 # Short randomized passes over the simulator's fuzz targets (the strategy
-# gate and the random-legal-reaction property), the checkpoint-journal
-# decoder, and the result-cache journal decoder; Go allows one -fuzz
-# target per invocation, hence the separate runs.
+# gate and the random-legal-reaction property) and the result-cache
+# journal decoder, the one on-disk row format; Go allows one -fuzz target
+# per invocation, hence the separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
 
 bench:

@@ -29,14 +29,10 @@
 //	               axis (default: all three)
 //	-fastforward   run simulations with the analytic fast-forward of
 //	               uneventful stretches; results agree with the plain
-//	               engine in distribution, not bit-for-bit, so journals
-//	               written in one mode never resume in the other
+//	               engine in distribution, not bit-for-bit, so rows cached
+//	               in one mode are never served to the other
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
 //	               expiry in-flight runs finish, then the sweep stops
-//	-checkpoint F  journal completed (grid-point x run) rows to file F and
-//	               resume from any rows already journaled there; rerunning
-//	               the same command after an interrupt continues where it
-//	               stopped and produces bit-identical output
 //	-cache         serve content-addressed rows from an in-memory result
 //	               cache for this invocation (an "all" sweep reuses points
 //	               shared between experiments); hits are bit-identical to
@@ -44,7 +40,10 @@
 //	-cachedir D    like -cache, but backed by an append-only journal in
 //	               directory D, so a rerun — of the same experiment or any
 //	               experiment sharing grid points — serves cached rows
-//	               instead of simulating; a summary of hits and misses is
+//	               instead of simulating. This is also how a sweep resumes:
+//	               rerunning the same command after an interrupt serves the
+//	               rows it completed, simulates the rest, and produces
+//	               bit-identical output. A summary of hits and misses is
 //	               printed to stderr on exit
 //	-audit         enable the simulator's runtime invariant auditor
 //	-audit-every N audit every Nth block event (default 1024; 1 checks
@@ -86,7 +85,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, w io.Writer) error {
+func run(ctx context.Context, args []string, w io.Writer) (err error) {
 	fs := flag.NewFlagSet("ethselfish", flag.ContinueOnError)
 	var (
 		quick       = fs.Bool("quick", false, "reduced simulation effort")
@@ -98,7 +97,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		fastforward = fs.Bool("fastforward", false, "fast-forward uneventful stretches (distribution-equivalent, different random stream)")
 		rule        = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
-		checkpoint  = fs.String("checkpoint", "", "journal completed rows to this file and resume from it")
 		cacheFlag   = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
 		cachedir    = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns)")
 		audit       = fs.Bool("audit", false, "enable the runtime invariant auditor")
@@ -150,14 +148,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		defer cancel()
 	}
 	opts.Ctx = ctx
-	if *checkpoint != "" {
-		ck, err := experiments.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			return err
-		}
-		defer ck.Close()
-		opts.Checkpoint = ck
-	}
 	if *cachedir != "" {
 		cache, err := resultcache.Open(*cachedir, 0)
 		if err != nil {
@@ -172,7 +162,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			s := cache.Stats()
 			fmt.Fprintf(os.Stderr, "ethselfish: cache: %d hits (%d memory, %d disk), %d misses, %d stored\n",
 				s.Hits(), s.MemoryHits, s.DiskHits, s.Misses, s.Stores)
-			cache.Close()
+			if cerr := cache.Close(); err == nil {
+				err = cerr
+			}
 		}()
 	}
 
@@ -200,13 +192,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if len(specs) > 0 && name == "bestresponse" {
 		return fmt.Errorf("bestresponse searches the whole stubborn family; -strategies is not supported (use strategies or tournament)")
 	}
-	// An interrupted sweep is resumable when journaled; say so instead of
+	// An interrupted sweep resumes from a disk cache; say so instead of
 	// leaving a bare "context canceled".
 	finish := func(err error) error {
-		if err != nil && *checkpoint != "" &&
+		if err != nil && *cachedir != "" &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return fmt.Errorf("%w (completed rows are journaled in %s; rerun the same command to resume)",
-				err, *checkpoint)
+			return fmt.Errorf("%w (completed rows are cached in %s; rerun the same command to resume)",
+				err, *cachedir)
 		}
 		return err
 	}

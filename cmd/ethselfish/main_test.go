@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/experiments"
+	"github.com/ethselfish/ethselfish/internal/resultcache"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -205,38 +206,52 @@ func TestRunCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	// The resume hint appears only when a checkpoint would hold the
-	// completed rows.
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", ckpt, "table2"}, &b)
+	// The resume hint appears only when a disk cache holds the completed
+	// rows; a memory-only cache dies with the process, so it gets none.
+	dir := filepath.Join(t.TempDir(), "cache")
+	err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", "-cachedir", dir, "table2"}, &b)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "rerun the same command to resume") {
-		t.Errorf("err = %v, want context.Canceled with a resume hint", err)
+		t.Errorf("-cachedir err = %v, want context.Canceled with a resume hint", err)
+	}
+	err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", "-cache", "table2"}, &b)
+	if !errors.Is(err, context.Canceled) || strings.Contains(err.Error(), "resume") {
+		t.Errorf("-cache err = %v, want context.Canceled without a resume hint", err)
 	}
 }
 
-func TestRunCheckpointFlag(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", ckpt, "table2"}
-	var first, second strings.Builder
-	if err := run(context.Background(), args, &first); err != nil {
+// TestRunCacheDirResume: a rerun against the same -cachedir reproduces an
+// uncached run bit for bit, a corrupt cache directory is rejected up front
+// with resultcache.ErrCache, and the removed -checkpoint flag is unknown.
+func TestRunCacheDirResume(t *testing.T) {
+	var plain strings.Builder
+	if err := run(context.Background(), []string{"-quick", "-runs", "1", "-blocks", "2000", "table2"}, &plain); err != nil {
 		t.Fatal(err)
 	}
-	// The second invocation replays the journal instead of recomputing;
-	// output must be bit-identical.
-	if err := run(context.Background(), args, &second); err != nil {
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-cachedir", dir, "table2"}
+	for round := 0; round < 2; round++ {
+		var got strings.Builder
+		if err := run(context.Background(), args, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != plain.String() {
+			t.Errorf("round %d: -cachedir output differs from an uncached run", round)
+		}
+	}
+
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "results.jsonl"), []byte("not a journal\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if first.String() != second.String() {
-		t.Error("checkpointed rerun produced different output")
+	var out strings.Builder
+	err := run(context.Background(), []string{"-quick", "-cachedir", bad, "table2"}, &out)
+	if !errors.Is(err, resultcache.ErrCache) {
+		t.Errorf("corrupt cache dir err = %v, want resultcache.ErrCache", err)
 	}
-	// A corrupt journal is rejected up front, not silently resumed.
-	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := os.WriteFile(bad, []byte("not a journal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := run(context.Background(), []string{"-quick", "-checkpoint", bad, "table2"}, &second)
-	if !errors.Is(err, experiments.ErrJournal) {
-		t.Errorf("corrupt checkpoint err = %v, want ErrJournal", err)
+
+	err = run(context.Background(), []string{"-quick", "-checkpoint", filepath.Join(bad, "x.ckpt"), "table2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -checkpoint") {
+		t.Errorf("-checkpoint err = %v, want an unknown-flag error", err)
 	}
 }
 

@@ -196,8 +196,9 @@
 // rejected with feedback difficulty rules. Results agree with the plain
 // engine in distribution — pinned by revenue, occupancy, and
 // conservation-audit agreement tests — not bit-for-bit; each mode is
-// bit-deterministic given (seed, mode), and checkpoint journals hash the
-// mode so one never resumes the other.
+// bit-deterministic given (seed, mode), and the mode is part of every
+// cached row's content address, so rows from one are never served to the
+// other.
 //
 // For sweep precision, internal/stats.Paired implements online
 // control-variate estimation against the engine's closed-form oracles

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/jobkey"
@@ -172,5 +174,95 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 		build: func(*mining.Population) sim.Config { return sim.Config{Gamma: 0.5} },
 	}}); !errors.Is(err, sim.ErrBadSpec) {
 		t.Errorf("bad spec err = %v, want sim.ErrBadSpec", err)
+	}
+}
+
+// TestJobErrorCoordinates: a failing run surfaces with its grid
+// coordinates and exact seed, reproducible as a single sim.Run.
+func TestJobErrorCoordinates(t *testing.T) {
+	opts := Options{Runs: 2, Blocks: 1000, Seed: 9, Parallelism: 1}
+	jobs := []simJob{
+		{alpha: 0.2, build: func(*mining.Population) sim.Config {
+			return sim.Config{Gamma: 0.5}
+		}},
+		{alpha: 0.3, build: func(*mining.Population) sim.Config {
+			return sim.Config{Gamma: 2} // invalid: gamma must be in [0,1]
+		}},
+	}
+	_, err := runSimGrid(opts, jobs)
+	var je *JobError
+	if !errors.As(err, &je) {
+		t.Fatalf("err = %v (%T), want *JobError", err, err)
+	}
+	if !errors.Is(err, sim.ErrBadConfig) {
+		t.Errorf("error chain %v lacks sim.ErrBadConfig", err)
+	}
+	if je.Point != 1 || je.Run != 0 || je.Alpha != 0.3 {
+		t.Errorf("JobError = point %d alpha %g run %d, want point 1 alpha 0.3 run 0",
+			je.Point, je.Alpha, je.Run)
+	}
+	pop, popErr := mining.TwoAgent(0.3)
+	if popErr != nil {
+		t.Fatal(popErr)
+	}
+	base := jobkey.SeedBase(opts.Seed, sim.Config{Population: pop, Gamma: 2})
+	if want := sim.DeriveSeed(base, 0); je.Seed != want {
+		t.Errorf("JobError.Seed = %d, want %d", je.Seed, want)
+	}
+	for _, part := range []string{"grid point 1", "alpha=0.3", "run 0"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
+	}
+}
+
+// TestResultJSONRoundTrip: the Result encoding round-trips exactly (after
+// RestoreAliases), which is what makes journaled rows interchangeable with
+// freshly computed ones. A timed multi-pool run populates every field.
+func TestResultJSONRoundTrip(t *testing.T) {
+	pop, err := mining.MultiAgent(0.25, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"timeless two-agent", sim.Config{Gamma: 0.5, Blocks: 2000, Seed: 7}},
+		{"timed multi-pool", sim.Config{
+			Population: pop,
+			Gamma:      0.3,
+			Blocks:     3000,
+			Seed:       9,
+			Time:       sim.TimeConfig{Enabled: true},
+			Strategies: []sim.Strategy{sim.Algorithm1{}, sim.Stubborn{Lead: true}},
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := tt.cfg
+			if cfg.Population == nil {
+				p, err := mining.TwoAgent(0.35)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Population = p
+			}
+			want, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got sim.Result
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			got.RestoreAliases()
+			if !reflect.DeepEqual(got, want) {
+				t.Error("Result does not round-trip through JSON")
+			}
+		})
 	}
 }

@@ -52,17 +52,9 @@ type Options struct {
 
 	// Ctx cancels a sweep early: once done, no new work items start,
 	// in-flight runs finish, and the sweep returns the context's error
-	// (completed rows are preserved in Checkpoint, if set). Nil means
-	// no cancellation.
+	// (completed rows are preserved in Cache, if set). Nil means no
+	// cancellation.
 	Ctx context.Context
-
-	// Checkpoint, when non-nil, journals every completed (grid-point ×
-	// run) row keyed by a canonical hash of the sweep configuration, and
-	// reuses journaled rows instead of recomputing them. By the engine's
-	// determinism guarantees a resumed sweep is bit-identical to an
-	// uninterrupted one. One open Checkpoint may serve many sweeps
-	// (tournament and best-response drivers run several grids).
-	Checkpoint *Checkpoint
 
 	// Cache, when non-nil, is consulted before any simulation runs: every
 	// (grid-point × run) row is content-addressed through the jobkey
@@ -71,7 +63,9 @@ type Options struct {
 	// invariant 3), cache hits are bit-identical to recomputation — any
 	// sweep containing a previously cached point reuses its rows, even a
 	// sweep of a different experiment. One Cache may serve many sweeps and
-	// many invocations (via its disk journal; see resultcache.Open).
+	// many invocations (via its disk journal; see resultcache.Open), which
+	// makes a disk-backed Cache the way to resume an interrupted sweep:
+	// rerun it against the same Cache and only the missing rows simulate.
 	Cache *resultcache.Cache
 
 	// Audit enables the simulator's runtime invariant auditor for every
@@ -82,8 +76,8 @@ type Options struct {
 	// FastForward turns on the simulator's analytic fast-forward (see
 	// sim.Config.FastForward) for every run in the sweep. Fast-forwarded
 	// runs agree with plain runs in distribution, not bit-for-bit, so the
-	// mode participates in the sweep's checkpoint hash: journals written
-	// in one mode are never resumed in the other.
+	// mode is part of every row's content address: rows cached in one mode
+	// are never served to the other.
 	FastForward bool
 }
 

@@ -285,7 +285,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 			cfg := base
 			cfg.Seed = sim.DeriveSeed(seedBase, idx)
 			idx++
-			res, err := cachedRun(rn, cfg, plainKey, opts.Cache)
+			res, err := cachedRun(rn, cfg, plainKey.Row(cfg.Seed), opts.Cache)
 			if err != nil {
 				return PrecisionRow{}, err
 			}
@@ -293,7 +293,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 			switch est {
 			case EstimatorAntithetic:
 				cfg.Antithetic = true
-				mirror, err := cachedRun(rn, cfg, antiKey, opts.Cache)
+				mirror, err := cachedRun(rn, cfg, antiKey.Row(cfg.Seed), opts.Cache)
 				if err != nil {
 					return PrecisionRow{}, err
 				}

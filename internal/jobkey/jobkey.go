@@ -1,8 +1,8 @@
 // Package jobkey is the canonical identity of one simulation: a
 // content-addressed encoding of everything that can change a run's result,
-// and nothing that cannot. It is the single encoder shared by the
-// checkpoint journal's sweep hash and the result cache's row addresses, so
-// the two can never diverge on what "the same simulation" means.
+// and nothing that cannot. It is the single encoder behind the experiment
+// engine's deduplication, seeding and result-cache row addresses, so they
+// can never diverge on what "the same simulation" means.
 //
 // Three identities are derived here, all from the same streamed encoding:
 //
@@ -179,11 +179,11 @@ func writeStrategies(w *Writer, cfg *sim.Config) {
 }
 
 // Writer streams length-prefixed primitives into a running hash, so
-// adjacent fields can never alias each other. The checkpoint's sweep hash
-// builds on it directly. Primitives accumulate in a fixed chunk flushed to
-// the digest in bulk — the digest sees the same byte stream either way, so
-// buffering can never change an address — which keeps the per-field cost to
-// a couple of stores instead of an interface call.
+// adjacent fields can never alias each other. Primitives accumulate in a
+// fixed chunk flushed to the digest in bulk — the digest sees the same byte
+// stream either way, so buffering can never change an address — which
+// keeps the per-field cost to a couple of stores instead of an interface
+// call.
 type Writer struct {
 	h     hash.Hash
 	n     int
@@ -191,13 +191,13 @@ type Writer struct {
 	sum   [sha256.Size]byte
 }
 
-// NewWriter returns a Writer over a fresh sha256.
-func NewWriter() *Writer { return &Writer{h: sha256.New()} }
+// newWriter returns a Writer over a fresh sha256.
+func newWriter() *Writer { return &Writer{h: sha256.New()} }
 
 // writerPool recycles Writers (and their sha256 states) across the
 // package's own key derivations, which run once per row on the result
 // cache's hot path.
-var writerPool = sync.Pool{New: func() any { return NewWriter() }}
+var writerPool = sync.Pool{New: func() any { return newWriter() }}
 
 func getWriter() *Writer {
 	w := writerPool.Get().(*Writer)

@@ -15,7 +15,7 @@ import (
 // stated reason. TestConfigFieldCoverage diffs this map against the struct
 // by reflection, so adding a config field fails the test until the encoder
 // handles it (or its exclusion is argued here) — the guarantee that
-// checkpoint and cache identity can never silently miss a field.
+// the result cache's row identity can never silently miss a field.
 var configFields = map[string]string{
 	"Population":         "encoded",
 	"Gamma":              "encoded",

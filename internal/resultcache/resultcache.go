@@ -12,12 +12,18 @@
 // Disk layout: one file, results.jsonl, in the cache directory. The first
 // line is {"version":1,"schema":S} where S is sim.ResultSchemaVersion;
 // every following line is one row {"key":"<64 hex>","seed":N,
-// "result":{...}}. The decoder is strict in exactly the checkpoint
-// journal's sense: a malformed line, a duplicated key, a version or schema
-// skew, or a truncated tail (a final line missing its newline — the mark
-// of a crash mid-write) rejects the whole file with ErrCache rather than
-// silently serving corrupt rows. Wipe the directory (or repair the file to
-// a line boundary) to recover; the cache then simply refills.
+// "result":{...}}. The decoder is strict: a malformed line, a duplicated
+// key, a version or schema skew, or a truncated tail (a final line missing
+// its newline — the mark of a crash mid-write) rejects the whole file with
+// ErrCache rather than silently serving corrupt rows. Wipe the directory
+// (or repair the file to a line boundary) to recover; the cache then simply
+// refills.
+//
+// The disk journal is also how an interrupted sweep resumes. Rows are
+// appended line-atomically as they complete, and a graceful cancellation
+// only stops dispatch, so the journal an interrupt leaves behind always
+// ends on a line boundary; rerunning the sweep against the same directory
+// serves every completed row and simulates only the rest, bit-identically.
 //
 // The memory tier holds decoded rows under an LRU bound; the disk tier is
 // scanned once at Open into a key -> byte-offset index, so a disk hit is
@@ -53,8 +59,8 @@ const journalVersion = 1
 // journalName is the journal's filename inside the cache directory.
 const journalName = "results.jsonl"
 
-// AddrSize is the length of a raw row address in bytes (a sha256 digest;
-// string-keyed entry points take its 2*AddrSize-char hex form).
+// AddrSize is the length of a row address in bytes (a sha256 digest; the
+// journal stores its 2*AddrSize-char hex form).
 const AddrSize = 32
 
 // DefaultMemoryEntries bounds the memory tier when the caller passes a
@@ -199,30 +205,13 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Get returns the cached row at key, checking memory then disk. The seed
-// is a redundancy check: the address already commits to it, so a stored
-// row under a different seed means hash collision or tampering and fails
-// closed with ErrCache. A disk hit is promoted into the memory tier.
-func (c *Cache) Get(key string, seed uint64) (sim.Result, bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.mem[key]; ok {
-		e := el.Value.(*entry)
-		if e.seed != seed {
-			return sim.Result{}, false, fmt.Errorf(
-				"%w: row %.12s cached under seed %d, derived %d", ErrCache, key, e.seed, seed)
-		}
-		c.lru.MoveToFront(el)
-		c.stats.MemoryHits++
-		return e.result, true, nil
-	}
-	return c.getDiskLocked(key, seed)
-}
-
-// GetRaw is Get for a raw content address: the hex encoding lives on the
-// stack and the memory probe converts it in place, so a memory hit — the
-// steady state of a warmed sweep — allocates nothing. The two entry points
-// address identical rows: GetRaw(k) ≡ Get(hex(k)).
+// GetRaw returns the cached row at address key, checking memory then disk.
+// The seed is a redundancy check: the address already commits to it, so a
+// stored row under a different seed means hash collision or tampering and
+// fails closed with ErrCache. A disk hit is promoted into the memory tier.
+// The hex encoding of key lives on the stack and the memory probe converts
+// it in place, so a memory hit — the steady state of a warmed sweep —
+// allocates nothing.
 func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error) {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
@@ -241,7 +230,9 @@ func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error
 	return c.getDiskLocked(string(buf[:]), seed)
 }
 
-// PutRaw is Put for a raw content address (see GetRaw).
+// PutRaw stores one computed row under its address. A key already cached
+// (in either tier) is left untouched — by content addressing the stored row
+// is already the one being offered.
 func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
@@ -258,7 +249,7 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 	return c.putLocked(string(buf[:]), seed, result)
 }
 
-// getDiskLocked serves a Get that missed the memory tier. Must be called
+// getDiskLocked serves a GetRaw that missed the memory tier. Must be called
 // with the lock held.
 func (c *Cache) getDiskLocked(key string, seed uint64) (sim.Result, bool, error) {
 	pos, ok := c.index[key]
@@ -283,21 +274,6 @@ func (c *Cache) getDiskLocked(key string, seed uint64) (sim.Result, bool, error)
 	c.insert(key, seed, row.Result)
 	c.stats.DiskHits++
 	return row.Result, true, nil
-}
-
-// Put stores one computed row under its address. A key already cached (in
-// either tier) is left untouched — by content addressing the stored row is
-// already the one being offered.
-func (c *Cache) Put(key string, seed uint64, result sim.Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok {
-		return nil
-	}
-	if _, ok := c.index[key]; ok {
-		return nil
-	}
-	return c.putLocked(key, seed, result)
 }
 
 // putLocked journals and inserts a row known to be absent from both tiers.

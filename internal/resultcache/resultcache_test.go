@@ -16,10 +16,10 @@ import (
 )
 
 // testRow is one (address, seed, expected result) triple; the expectation
-// comes from a real simulation so every Get can be checked against
+// comes from a real simulation so every GetRaw can be checked against
 // recomputation.
 type testRow struct {
-	key    string
+	key    jobkey.Key
 	seed   uint64
 	result sim.Result
 }
@@ -48,7 +48,7 @@ func makeRows(t testing.TB, n int) []testRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := jobkey.ForConfig(cfg).Row(cfg.Seed).String()
+		key := jobkey.ForConfig(cfg).Row(cfg.Seed)
 		rows = append(rows, testRow{key: key, seed: cfg.Seed, result: res})
 	}
 	return rows
@@ -57,25 +57,25 @@ func makeRows(t testing.TB, n int) []testRow {
 func TestMemoryPutGet(t *testing.T) {
 	rows := makeRows(t, 3)
 	c := NewMemory(8)
-	if _, ok, err := c.Get(rows[0].key, rows[0].seed); err != nil || ok {
-		t.Fatalf("Get on empty cache = (%v, %v), want miss", ok, err)
+	if _, ok, err := c.GetRaw(rows[0].key, rows[0].seed); err != nil || ok {
+		t.Fatalf("GetRaw on empty cache = (%v, %v), want miss", ok, err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		got, ok, err := c.Get(r.key, r.seed)
+		got, ok, err := c.GetRaw(r.key, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("Get(%0.12s) = (%v, %v), want hit", r.key, ok, err)
+			t.Fatalf("GetRaw(%.12s) = (%v, %v), want hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("row %.12s differs from the stored result", r.key)
 		}
 	}
 	// Duplicate Put of a cached key is a no-op, not a second store.
-	if err := c.Put(rows[0].key, rows[0].seed, rows[0].result); err != nil {
+	if err := c.PutRaw(rows[0].key, rows[0].seed, rows[0].result); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -83,8 +83,8 @@ func TestMemoryPutGet(t *testing.T) {
 		t.Errorf("stats = %+v, want 3 stores, 3 memory hits, 1 miss", s)
 	}
 	// A seed disagreeing with the content address fails closed.
-	if _, _, err := c.Get(rows[0].key, rows[0].seed+1); !errors.Is(err, ErrCache) {
-		t.Errorf("seed-mismatch Get err = %v, want ErrCache", err)
+	if _, _, err := c.GetRaw(rows[0].key, rows[0].seed+1); !errors.Is(err, ErrCache) {
+		t.Errorf("seed-mismatch GetRaw err = %v, want ErrCache", err)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestMemoryEviction(t *testing.T) {
 	rows := makeRows(t, 4)
 	c := NewMemory(2)
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,10 +104,10 @@ func TestMemoryEviction(t *testing.T) {
 	}
 	// The oldest rows are gone (memory-only: a miss, not an error); the
 	// newest survive.
-	if _, ok, _ := c.Get(rows[0].key, rows[0].seed); ok {
+	if _, ok, _ := c.GetRaw(rows[0].key, rows[0].seed); ok {
 		t.Error("evicted row still served")
 	}
-	if _, ok, _ := c.Get(rows[3].key, rows[3].seed); !ok {
+	if _, ok, _ := c.GetRaw(rows[3].key, rows[3].seed); !ok {
 		t.Error("fresh row evicted out of order")
 	}
 }
@@ -120,7 +120,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,9 +137,9 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Fatalf("reloaded Len = %d, want %d", c2.Len(), len(rows))
 	}
 	for _, r := range rows {
-		got, ok, err := c2.Get(r.key, r.seed)
+		got, ok, err := c2.GetRaw(r.key, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("reloaded Get(%.12s) = (%v, %v), want hit", r.key, ok, err)
+			t.Fatalf("reloaded GetRaw(%.12s) = (%v, %v), want hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("reloaded row %.12s differs from the computed result", r.key)
@@ -150,7 +150,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Errorf("disk hits = %d, want %d", s.DiskHits, len(rows))
 	}
 	// The promoted rows now serve from memory.
-	if _, ok, _ := c2.Get(rows[0].key, rows[0].seed); !ok {
+	if _, ok, _ := c2.GetRaw(rows[0].key, rows[0].seed); !ok {
 		t.Fatal("promoted row missed")
 	}
 	if s := c2.Stats(); s.MemoryHits != 1 {
@@ -159,7 +159,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 }
 
 // TestDiskEvictionKeepsRowsReachable: the memory tier evicting a
-// disk-backed row must not lose it — the next Get is a disk hit.
+// disk-backed row must not lose it — the next GetRaw is a disk hit.
 func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 	rows := makeRows(t, 4)
 	c, err := Open(t.TempDir(), 2)
@@ -168,14 +168,14 @@ func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 	}
 	defer c.Close()
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		got, ok, err := c.Get(r.key, r.seed)
+		got, ok, err := c.GetRaw(r.key, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("Get(%.12s) after eviction = (%v, %v), want disk hit", r.key, ok, err)
+			t.Fatalf("GetRaw(%.12s) after eviction = (%v, %v), want disk hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("row %.12s served from disk differs", r.key)
@@ -190,7 +190,7 @@ func TestCacheFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(rows[0].key, rows[0].seed, rows[0].result); err != nil {
+	if err := c.PutRaw(rows[0].key, rows[0].seed, rows[0].result); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -203,13 +203,14 @@ func TestCacheFailsClosed(t *testing.T) {
 	}
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, mutate(append([]byte(nil), data...)), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Open(dir, 4); !errors.Is(err, ErrCache) {
-			t.Errorf("%s: Open err = %v, want ErrCache", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(path, mutate(append([]byte(nil), data...)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, 4); !errors.Is(err, ErrCache) {
+				t.Errorf("Open err = %v, want ErrCache", err)
+			}
+		})
 	}
 	corrupt("truncated tail", func(b []byte) []byte { return b[:len(b)-1] })
 	corrupt("tampered row", func(b []byte) []byte {
@@ -225,10 +226,37 @@ func TestCacheFailsClosed(t *testing.T) {
 		lines := strings.SplitAfter(string(b), "\n")
 		return []byte(string(b) + lines[1])
 	})
+	corrupt("garbage first line", func(b []byte) []byte {
+		lines := strings.SplitAfter(string(b), "\n")
+		return []byte("not json\n" + strings.Join(lines[1:], ""))
+	})
+	corrupt("empty line", func(b []byte) []byte { return append(b, '\n') })
+	corrupt("trailing garbage", func(b []byte) []byte {
+		return append(b[:len(b)-1], []byte(" extra\n")...)
+	})
+	corrupt("malformed key", func(b []byte) []byte {
+		return []byte(strings.Replace(string(b), `"key":"`, `"key":"zz`, 1))
+	})
+
+	// The valid journal those cases are mutations of still opens, and an
+	// unreachable directory is an error, not an empty cache.
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(dir, 4)
+	if err != nil {
+		t.Fatalf("valid journal rejected: %v", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(filepath.Join(path, "sub"), 4); err == nil {
+		t.Error("cache dir below a regular file accepted")
+	}
 }
 
 // TestCachePropertySequence is the satellite property test: any sequence
-// of Put / Get / evict (via a tiny capacity) / reload yields rows
+// of PutRaw / GetRaw / evict (via a tiny capacity) / reload yields rows
 // DeepEqual to recomputation — the cache can serve stale nothing, because
 // its only failure mode is a miss.
 func TestCachePropertySequence(t *testing.T) {
@@ -254,17 +282,17 @@ func TestCachePropertySequence(t *testing.T) {
 			defer func() { c.Close() }()
 
 			rng := rand.New(rand.NewSource(42))
-			put := make(map[string]bool)
+			put := make(map[jobkey.Key]bool)
 			for step := 0; step < 400; step++ {
 				r := rows[rng.Intn(len(rows))]
 				switch op := rng.Intn(10); {
 				case op < 4:
-					if err := c.Put(r.key, r.seed, r.result); err != nil {
+					if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
 						t.Fatal(err)
 					}
 					put[r.key] = true
 				case op < 9:
-					got, ok, err := c.Get(r.key, r.seed)
+					got, ok, err := c.GetRaw(r.key, r.seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -288,9 +316,9 @@ func TestCachePropertySequence(t *testing.T) {
 					if !put[r.key] {
 						continue
 					}
-					got, ok, err := c.Get(r.key, r.seed)
+					got, ok, err := c.GetRaw(r.key, r.seed)
 					if err != nil || !ok {
-						t.Fatalf("final Get(%.12s) = (%v, %v), want hit", r.key, ok, err)
+						t.Fatalf("final GetRaw(%.12s) = (%v, %v), want hit", r.key, ok, err)
 					}
 					if !reflect.DeepEqual(got, r.result) {
 						t.Errorf("final row %.12s differs from recomputation", r.key)
@@ -301,9 +329,9 @@ func TestCachePropertySequence(t *testing.T) {
 	}
 }
 
-// FuzzCacheDecode mirrors the checkpoint journal's FuzzJournalDecode: the
-// strict decoder never panics, never accepts a truncated tail, and only
-// ever fails with ErrCache.
+// FuzzCacheDecode: the strict decoder never panics, never accepts a
+// truncated tail, and only ever fails with ErrCache — the one fuzz target
+// for the one on-disk row format.
 func FuzzCacheDecode(f *testing.F) {
 	header := fmt.Sprintf(`{"version":1,"schema":%d}`, sim.ResultSchemaVersion)
 	key := strings.Repeat("ab", 32)

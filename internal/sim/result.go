@@ -11,10 +11,10 @@ import (
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
-// ResultSchemaVersion identifies the serialized Result row schema. Stores
-// that persist Result rows (the experiments checkpoint journal, the
-// resultcache disk journal) stamp it into their headers and refuse files
-// written under any other version, so a schema change can never make an
+// ResultSchemaVersion identifies the serialized Result row schema. The
+// store that persists Result rows (the resultcache disk journal, which is
+// also how interrupted sweeps resume) stamps it into its header and refuses
+// files written under any other version, so a schema change can never make an
 // old row decode into a subtly different new Result. Bump it whenever the
 // field set of Result (or of anything it embeds) changes; the schema pin
 // test in schema_test.go fails until the change is acknowledged there.

@@ -103,8 +103,8 @@ func (c *Counter) Merge(other *Counter) {
 
 // MarshalJSON encodes the counter as [[outcome, count], ...] sorted by
 // outcome, or null for the zero counter. The encoding round-trips exactly:
-// a decoded counter is reflect.DeepEqual to the original, which the
-// experiments checkpoint journal relies on for bit-identical resume.
+// a decoded counter is reflect.DeepEqual to the original, which the result
+// cache's disk journal relies on for bit-identical disk hits.
 func (c Counter) MarshalJSON() ([]byte, error) {
 	if c.counts == nil {
 		return []byte("null"), nil
