@@ -12,12 +12,14 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 
 # The workloads gated against a same-machine baseline: the K-pool races,
 # the tournament engine, the continuous-time workloads, the fast-forward
-# speedup pair, the result-cache cold/warm pair (cold bounds the cache's
-# miss-path overhead; warm pins the fully cached sweep), the long-horizon
-# streaming workload (1m guards the O(window) memory claim through the
-# bytes/op gate), and the alpha-0.45 Fig. 8 point (fig8-alpha045 guards
-# the chain views behind the uncle scan and the floor purge). bench-gate
-# and the CI workflow both read this list, so the two cannot drift.
+# speedup pair, the result-cache workloads (poolwars cold bounds the
+# cache's miss-path overhead, poolwars warm pins the fully cached sweep,
+# fig8-quick-cache-disk-warm pins a rerun served from the disk journal),
+# the long-horizon streaming workload (1m guards the O(window) memory
+# claim through the bytes/op gate), and the alpha-0.45 Fig. 8 point
+# (fig8-alpha045 guards the chain views behind the uncle scan and the
+# floor purge). bench-gate and the CI workflow both read this list, so
+# the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m fig8-alpha045
 
 .PHONY: check build vet test race agreement perfbench-test staticcheck chaos-smoke cache-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke

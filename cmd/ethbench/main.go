@@ -447,6 +447,34 @@ func benchmarks() []benchmark {
 				}
 			}
 		}},
+		{name: "fig8-quick-cache-disk-warm", run: func(b *testing.B, parallel int) {
+			// Disk-warm path: set-up journals a quick Fig. 8 sweep, and
+			// each op reopens the journal and serves the whole sweep from
+			// it, the way `ethselfish -quick -cachedir D fig8` reruns do.
+			// ns/op is the disk tier's cost: Open's decode plus a disk hit
+			// per row.
+			opts := experiments.Quick()
+			opts.Parallelism = parallel
+			dir := b.TempDir()
+			sweep := func() {
+				cache, err := resultcache.Open(dir, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts.Cache = cache
+				if _, err := experiments.Fig8(opts); err != nil {
+					b.Fatal(err)
+				}
+				if err := cache.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			sweep()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sweep()
+			}
+		}},
 	}
 }
 

@@ -14,7 +14,7 @@ func TestListBenchmarks(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sim-100k-blocks", "fig8-quick", "runmany-10x20k"} {
+	for _, name := range []string{"sim-100k-blocks", "fig8-quick", "runmany-10x20k", "fig8-quick-cache-disk-warm"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %s:\n%s", name, out.String())
 		}

@@ -25,12 +25,17 @@
 // ends on a line boundary; rerunning the sweep against the same directory
 // serves every completed row and simulates only the rest, bit-identically.
 //
-// The memory tier holds decoded rows under an LRU bound; the disk tier is
-// scanned once at Open into a key -> byte-offset index, so a disk hit is
-// one ReadAt plus one strict decode, promoted into memory. Writes append
-// under a lock through a single handle; the cache is safe for concurrent
-// use by the engine's workers but assumes a single writing process per
-// directory.
+// The memory tier holds decoded rows under an LRU bound. The disk tier is
+// decoded once at Open, its rows strictly decoded across the worker pool,
+// into a key -> byte-offset index that also keeps the decoded rows of the
+// newest capacity lines. The first hit on a kept row costs no I/O and no
+// decode: the row moves into the memory tier and the index drops its
+// copy, so at most 2*capacity decoded rows are ever held. A hit on an
+// older row, or on any row again after LRU eviction, is one ReadAt plus
+// one strict decode. Either way a disk hit is promoted into memory.
+// Writes append under a lock through a single handle; the cache is safe
+// for concurrent use by the engine's workers but assumes a single writing
+// process per directory.
 package resultcache
 
 import (
@@ -45,6 +50,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -81,11 +87,14 @@ type journalRow struct {
 	Result sim.Result `json:"result"`
 }
 
-// diskPos locates one row's line inside the journal.
+// diskPos locates one row's line inside the journal. kept is the row's
+// Result as decoded at Open, held until its first hit for the newest
+// capacity rows (nil otherwise: a hit re-reads the line).
 type diskPos struct {
 	off  int64
 	len  int
 	seed uint64
+	kept *sim.Result
 }
 
 // entry is one decoded row in the memory tier.
@@ -152,7 +161,8 @@ func Open(dir string, capacity int) (*Cache, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("resultcache: reading cache journal: %w", err)
 	}
-	index, err := decodeJournal(data)
+	c := NewMemory(capacity)
+	index, err := decodeJournal(data, c.cap)
 	if err != nil {
 		return nil, fmt.Errorf("%w (wipe %s to start over)", err, dir)
 	}
@@ -160,7 +170,6 @@ func Open(dir string, capacity int) (*Cache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resultcache: opening cache journal: %w", err)
 	}
-	c := NewMemory(capacity)
 	c.file = file
 	c.size = int64(len(data))
 	c.index = index
@@ -261,19 +270,26 @@ func (c *Cache) getDiskLocked(key string, seed uint64) (sim.Result, bool, error)
 		return sim.Result{}, false, fmt.Errorf(
 			"%w: row %.12s journaled under seed %d, derived %d", ErrCache, key, pos.seed, seed)
 	}
-	buf := make([]byte, pos.len)
-	if _, err := c.file.ReadAt(buf, pos.off); err != nil {
-		return sim.Result{}, false, fmt.Errorf("resultcache: reading row %.12s: %w", key, err)
+	var result sim.Result
+	if pos.kept != nil {
+		result = *pos.kept
+		pos.kept = nil // the memory tier owns the row from here on
+		c.index[key] = pos
+	} else {
+		buf := make([]byte, pos.len)
+		if _, err := c.file.ReadAt(buf, pos.off); err != nil {
+			return sim.Result{}, false, fmt.Errorf("resultcache: reading row %.12s: %w", key, err)
+		}
+		row, err := decodeRow(buf)
+		if err != nil || row.Key != key || row.Seed != seed {
+			return sim.Result{}, false, fmt.Errorf(
+				"%w: row %.12s changed on disk after open (%v)", ErrCache, key, err)
+		}
+		result = row.Result
 	}
-	var row journalRow
-	if err := strictUnmarshal(buf, &row); err != nil || row.Key != key || row.Seed != seed {
-		return sim.Result{}, false, fmt.Errorf(
-			"%w: row %.12s changed on disk after open (%v)", ErrCache, key, err)
-	}
-	row.Result.RestoreAliases()
-	c.insert(key, seed, row.Result)
+	c.insert(key, seed, result)
 	c.stats.DiskHits++
-	return row.Result, true, nil
+	return result, true, nil
 }
 
 // putLocked journals and inserts a row known to be absent from both tiers.
@@ -325,10 +341,13 @@ func (c *Cache) writeLine(v any) error {
 }
 
 // decodeJournal strictly parses a journal's bytes into the key -> position
-// index, validating every row (including its Result payload) without
-// retaining the decoded rows — the memory tier fills on demand. Empty
-// input is a fresh journal.
-func decodeJournal(data []byte) (map[string]diskPos, error) {
+// index, validating every row (including its Result payload). The rows are
+// decoded across the worker pool; the index keeps the decoded Results of
+// the last keep rows and drops the rest, since the memory tier fills on
+// demand. Errors are deterministic: the first failing line in line order
+// wins, whether it fails to decode, has a malformed key, or duplicates an
+// earlier key. Empty input is a fresh journal.
+func decodeJournal(data []byte, keep int) (map[string]diskPos, error) {
 	index := make(map[string]diskPos)
 	if len(data) == 0 {
 		return index, nil
@@ -348,23 +367,63 @@ func decodeJournal(data []byte) (map[string]diskPos, error) {
 		return nil, fmt.Errorf("%w: rows written under result schema %d, this build uses %d",
 			ErrCache, header.Schema, sim.ResultSchemaVersion)
 	}
+	rows := lines[1:]
+	// Row errors travel with their line, so the sequential pass below
+	// reports the first failure in line order; the pool's own error is
+	// only ever a recovered panic. Workers drop the Results outside the
+	// kept window as soon as they are validated, so Open never holds more
+	// than keep of them.
+	type decoded struct {
+		key  string
+		seed uint64
+		kept *sim.Result
+		err  error
+	}
+	results, err := parallel.Map(0, len(rows), func(i int) (decoded, error) {
+		row, err := rowDecoder(rows[i])
+		if err != nil {
+			return decoded{err: err}, nil
+		}
+		d := decoded{key: row.Key, seed: row.Seed}
+		if i >= len(rows)-keep {
+			d.kept = &row.Result
+		}
+		return d, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: decoding rows: %w", ErrCache, err)
+	}
 	offset := int64(len(lines[0]) + 1)
-	for i, raw := range lines[1:] {
+	for i, d := range results {
 		lineNo := i + 2
-		var row journalRow
-		if err := strictUnmarshal(raw, &row); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCache, lineNo, err)
+		if d.err != nil {
+			return nil, fmt.Errorf("%w: line %d: %v", ErrCache, lineNo, d.err)
 		}
-		if len(row.Key) != 64 || !isHex(row.Key) {
-			return nil, fmt.Errorf("%w: line %d: malformed row key", ErrCache, lineNo)
+		if _, dup := index[d.key]; dup {
+			return nil, fmt.Errorf("%w: line %d: row %.12s duplicated", ErrCache, lineNo, d.key)
 		}
-		if _, dup := index[row.Key]; dup {
-			return nil, fmt.Errorf("%w: line %d: row %.12s duplicated", ErrCache, lineNo, row.Key)
-		}
-		index[row.Key] = diskPos{off: offset, len: len(raw), seed: row.Seed}
-		offset += int64(len(raw) + 1)
+		index[d.key] = diskPos{off: offset, len: len(rows[i]), seed: d.seed, kept: d.kept}
+		offset += int64(len(rows[i]) + 1)
 	}
 	return index, nil
+}
+
+// rowDecoder is the per-row decoder decodeJournal fans out across the
+// worker pool; tests swap it to inject a panicking worker.
+var rowDecoder = decodeRow
+
+// decodeRow strictly decodes one journal row line, checks its key, and
+// restores the Result's aliases.
+func decodeRow(raw []byte) (*journalRow, error) {
+	var row journalRow
+	if err := strictUnmarshal(raw, &row); err != nil {
+		return nil, err
+	}
+	if len(row.Key) != 2*AddrSize || !isHex(row.Key) {
+		return nil, errors.New("malformed row key")
+	}
+	row.Result.RestoreAliases()
+	return &row, nil
 }
 
 // strictUnmarshal decodes one JSON value rejecting unknown fields and

@@ -1,17 +1,20 @@
 package resultcache
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/jobkey"
 	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -255,6 +258,158 @@ func TestCacheFailsClosed(t *testing.T) {
 	}
 }
 
+// syntheticJournal joins a header and the given row lines into journal
+// bytes.
+func syntheticJournal(rows ...string) []byte {
+	header := fmt.Sprintf(`{"version":1,"schema":%d}`, sim.ResultSchemaVersion)
+	return []byte(strings.Join(append([]string{header}, rows...), "\n") + "\n")
+}
+
+// syntheticRow is a minimal valid row line whose key repeats c.
+func syntheticRow(c string) string {
+	return `{"key":"` + strings.Repeat(c, 64) + `","seed":7,"result":{"Alpha":0.3,"Blocks":500}}`
+}
+
+// TestDecodeJournalFirstFailingLineWins: the parallel decoder reports the
+// first failing line in line order at any worker count — the error the
+// line-by-line decoder gives — even when a worker reaches a later bad
+// line first.
+func TestDecodeJournalFirstFailingLineWins(t *testing.T) {
+	malformed := `{"key":"` + strings.Repeat("ab", 32) + `","seed":`
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"duplicate before malformed",
+			syntheticJournal(syntheticRow("a"), syntheticRow("b"), syntheticRow("a"),
+				syntheticRow("c"), syntheticRow("d"), malformed, syntheticRow("e")),
+			fmt.Sprintf("%v: line 4: row aaaaaaaaaaaa duplicated", ErrCache)},
+		{"malformed alone",
+			syntheticJournal(syntheticRow("a"), syntheticRow("b"), syntheticRow("f"),
+				syntheticRow("c"), syntheticRow("d"), malformed, syntheticRow("e")),
+			fmt.Sprintf("%v: line 7: unexpected EOF", ErrCache)},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			_, err := decodeJournal(tc.data, 8)
+			if !errors.Is(err, ErrCache) || err.Error() != tc.want {
+				t.Errorf("%s, GOMAXPROCS %d: err = %v, want %q", tc.name, procs, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestDecodeJournalWorkerPanic: a panicking decode worker fails Open
+// closed with an error wrapping ErrCache (the property FuzzCacheDecode
+// holds the decoder to), not with a bare recovered panic.
+func TestDecodeJournalWorkerPanic(t *testing.T) {
+	defer func(d func([]byte) (*journalRow, error)) { rowDecoder = d }(rowDecoder)
+	rowDecoder = func(raw []byte) (*journalRow, error) {
+		if strings.Contains(string(raw), strings.Repeat("c", 64)) {
+			panic("decoder bug")
+		}
+		return decodeRow(raw)
+	}
+	data := syntheticJournal(syntheticRow("a"), syntheticRow("b"), syntheticRow("c"))
+	_, err := decodeJournal(data, 8)
+	if !errors.Is(err, ErrCache) || !errors.Is(err, parallel.ErrPanic) {
+		t.Errorf("decodeJournal err = %v, want ErrCache wrapping the recovered panic", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 4); !errors.Is(err, ErrCache) {
+		t.Errorf("Open err = %v, want ErrCache", err)
+	}
+}
+
+// TestDiskKeptWindow: Open keeps the decoded rows of only the newest
+// capacity lines. Older rows take the re-read path, which still fails
+// closed on a line changed after Open, and each kept row passes to the
+// memory tier on its first hit, so once every row has been served the
+// index holds no decoded row.
+func TestDiskKeptWindow(t *testing.T) {
+	rows := makeRows(t, 6)
+	dir := t.TempDir()
+	c, err := Open(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := c.PutRaw(r.key, r.seed, r.result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Cache {
+		c, err := Open(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	hexKey := func(r testRow) string { return hex.EncodeToString(r.key[:]) }
+
+	c = open()
+	for i, r := range rows {
+		if kept, want := c.index[hexKey(r)].kept != nil, i >= len(rows)-2; kept != want {
+			t.Errorf("row %d kept = %v, want %v", i, kept, want)
+		}
+	}
+	// A kept row still answers to the seed check.
+	last := rows[len(rows)-1]
+	if _, _, err := c.GetRaw(last.key, last.seed+1); !errors.Is(err, ErrCache) {
+		t.Errorf("seed-mismatch GetRaw on a kept row err = %v, want ErrCache", err)
+	}
+	for _, r := range rows {
+		got, ok, err := c.GetRaw(r.key, r.seed)
+		if err != nil || !ok {
+			t.Fatalf("GetRaw(%.12s) = (%v, %v), want disk hit", r.key, ok, err)
+		}
+		if !reflect.DeepEqual(got, r.result) {
+			t.Errorf("row %.12s differs from the computed result", r.key)
+		}
+	}
+	if s := c.Stats(); s.DiskHits != uint64(len(rows)) || s.MemoryHits != 0 || s.Misses != 0 {
+		t.Errorf("stats = %+v, want %d disk hits and nothing else", s, len(rows))
+	}
+	for key, pos := range c.index {
+		if pos.kept != nil {
+			t.Errorf("row %.12s still held by the index after its hit", key)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tamper with an older row's line after Open (same length, so the
+	// index's offsets still frame it): its re-read fails closed.
+	c = open()
+	defer c.Close()
+	path := filepath.Join(dir, journalName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := c.index[hexKey(rows[1])]
+	if pos.kept != nil {
+		t.Fatal("row 1 kept; want it past the window")
+	}
+	data[pos.off+int64(pos.len)-1] = ' ' // drop the row's closing brace
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.GetRaw(rows[1].key, rows[1].seed); !errors.Is(err, ErrCache) {
+		t.Errorf("GetRaw on a row changed after Open err = %v, want ErrCache", err)
+	}
+}
+
 // TestCachePropertySequence is the satellite property test: any sequence
 // of PutRaw / GetRaw / evict (via a tiny capacity) / reload yields rows
 // DeepEqual to recomputation — the cache can serve stale nothing, because
@@ -345,7 +500,7 @@ func FuzzCacheDecode(f *testing.F) {
 	f.Add([]byte(header + "\n" + row + "\n" + row + "\n"))
 	f.Add([]byte(`{"version":1,"schema":999}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		index, err := decodeJournal(data)
+		index, err := decodeJournal(data, 1)
 		if err != nil {
 			if !errors.Is(err, ErrCache) {
 				t.Errorf("error %v does not wrap ErrCache", err)
@@ -355,13 +510,20 @@ func FuzzCacheDecode(f *testing.F) {
 		if len(data) > 0 && data[len(data)-1] != '\n' {
 			t.Error("journal without a final newline accepted")
 		}
+		kept := 0
 		for k, pos := range index {
+			if pos.kept != nil {
+				kept++
+			}
 			if len(k) != 64 || !isHex(k) {
 				t.Errorf("accepted malformed key %q", k)
 			}
 			if pos.off < 0 || pos.off+int64(pos.len) > int64(len(data)) {
 				t.Errorf("row %q indexed outside the journal", k)
 			}
+		}
+		if kept > 1 {
+			t.Errorf("kept %d decoded rows, want at most 1", kept)
 		}
 	})
 }
