@@ -19,7 +19,8 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # claim through the bytes/op gate), and the alpha-0.45 Fig. 8 point
 # (fig8-alpha045 guards the chain views behind the uncle scan and the
 # floor purge). bench-gate and the CI workflow both read this list, so
-# the two cannot drift.
+# the two cannot drift; cmd/ethbench's TestBenchGateFiltersMatchWorkloads
+# pins the workloads each filter selects.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m fig8-alpha045
 
 .PHONY: check build vet test race agreement perfbench-test staticcheck chaos-smoke cache-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
@@ -116,6 +117,9 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
 
+# Every workload in internal/benchwork through `go test`, as sub-benchmarks
+# of BenchmarkWorkloads (select one with -bench='Workloads/<name>$$');
+# cmd/ethbench runs the same table.
 bench:
 	$(GO) test -run=NONE -bench=. -benchmem .
 
@@ -148,19 +152,23 @@ bench-gate:
 bench-record:
 	$(GO) run ./cmd/ethbench -record $(BENCH_HISTORY)
 
-# One-iteration pass over every benchmark so bench code cannot rot; used by
-# CI, where full benchmark timings would be noise anyway.
 # Where bench-smoke leaves its CPU/heap profiles (uploaded as CI
 # artifacts, so a slow CI run can be diagnosed without reproducing it).
 BENCH_PROFILE_DIR ?= bench-profiles
 
+# One-iteration pass over every benchmark so bench code cannot rot; used by
+# CI, where full benchmark timings would be noise anyway. The first pass
+# covers the internal packages' micro-benchmarks. The profiled pass runs the
+# root package's BenchmarkWorkloads, which is every ethbench workload, with
+# its output check, once. The last pass takes a dedicated heap profile of
+# the 1M-block streaming workload.
 bench-smoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/...
 	mkdir -p $(BENCH_PROFILE_DIR)
 	$(GO) test -run=NONE -bench=. -benchtime=1x \
 		-cpuprofile=$(BENCH_PROFILE_DIR)/cpu.pprof \
 		-memprofile=$(BENCH_PROFILE_DIR)/mem.pprof \
 		-o $(BENCH_PROFILE_DIR)/bench.test .
-	$(GO) test -run=NONE -bench=Simulator1MBlocksStreaming -benchtime=1x \
+	$(GO) test -run=NONE -bench='Workloads/sim-1m-blocks$$' -benchtime=1x \
 		-memprofile=$(BENCH_PROFILE_DIR)/longhorizon-heap.pprof \
 		-o $(BENCH_PROFILE_DIR)/longhorizon.test .

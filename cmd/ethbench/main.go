@@ -1,6 +1,9 @@
 // Command ethbench runs the repository's performance-tracking workloads
 // and emits machine-readable results, one JSON object per benchmark, as a
-// single JSON array on stdout (the BENCH_*.json trajectory format).
+// single JSON array on stdout (the BENCH_*.json trajectory format). The
+// workloads and their output checks live in internal/benchwork, which the
+// root package's BenchmarkWorkloads also runs; a workload whose output
+// check fails makes ethbench exit non-zero.
 //
 // Usage:
 //
@@ -23,7 +26,9 @@
 //
 // Each result records iterations, ns/op, bytes/op and allocs/op as measured
 // by testing.Benchmark, plus the parallelism and GOMAXPROCS in force, so
-// trajectories from different machines stay comparable. The precision-*
+// trajectories from different machines stay comparable. Simulator
+// workloads also record ns_per_block: ns/op over the block events one op
+// simulates. The precision-*
 // benchmarks report time-to-target-precision: one op is an adaptive study
 // that simulates until the pool-revenue confidence interval closes under
 // its target half-width, so their ns/op is directly the wall-clock cost of
@@ -42,12 +47,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ethselfish/ethselfish/internal/difficulty"
-	"github.com/ethselfish/ethselfish/internal/experiments"
-	"github.com/ethselfish/ethselfish/internal/mining"
-	"github.com/ethselfish/ethselfish/internal/resultcache"
-	"github.com/ethselfish/ethselfish/internal/rewards"
-	"github.com/ethselfish/ethselfish/internal/sim"
+	"github.com/ethselfish/ethselfish/internal/benchwork"
 )
 
 // Result is one benchmark measurement in the emitted JSON array.
@@ -57,451 +57,17 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	// NsPerBlock is ns/op over the block events one op simulates, set for
+	// the simulator workloads and omitted for sweeps.
+	NsPerBlock  float64 `json:"ns_per_block,omitempty"`
 	Parallelism int     `json:"parallelism"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 }
 
-// benchmark couples a name to a workload parameterized by the engine's
-// parallelism.
-type benchmark struct {
-	name string
-	run  func(b *testing.B, parallel int)
-}
-
-func benchmarks() []benchmark {
-	return []benchmark{
-		{name: "sim-100k-blocks", run: func(b *testing.B, parallel int) {
-			// The headline tracking workload. Settlement streams and
-			// evicts, so resident memory is O(uncle window) and bytes/op
-			// is the Result plus the window-bounded engine state, not a
-			// 100k-block tree.
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-1m-blocks", run: func(b *testing.B, parallel int) {
-			// The long-horizon workload: a million blocks through one
-			// reused Runner. Heap stays flat at O(uncle window); the
-			// bench-smoke heap profile artifact is taken from this
-			// workload.
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     1000000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-1000-miners", run: func(b *testing.B, parallel int) {
-			// The paper's actual Sec. V population (1000 equal
-			// miners); alias-table sampling keeps it within a small
-			// factor of the two-agent run above.
-			pop, err := mining.Equal(1000, 350)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools", run: func(b *testing.B, parallel int) {
-			// Two Algorithm-1 pools racing each other: the K-pool
-			// engine's tracking workload. Per-event cost is O(K) on
-			// top of the O(1) population sampling, so it must stay
-			// within a small factor of the single-pool benchmarks.
-			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools-stubborn", run: func(b *testing.B, parallel int) {
-			// Two parametric pools from the registry racing each
-			// other: the strategy-space engine's tracking workload.
-			// Must stay allocation-free in steady state and within a
-			// small factor of the Algorithm-1 2-pool bench.
-			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			strategies, err := sim.NewStrategies([]sim.StrategySpec{
-				sim.MustStrategySpec("stubborn:fork=1,lead=1"),
-				sim.MustStrategySpec("stubborn:trail=2"),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Strategies: strategies,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools-table", run: func(b *testing.B, parallel int) {
-			// The decision-table showcase: two deep-racing parametric
-			// pools whose reactions all resolve inside the compiled table
-			// window. Tables are warmed before timing, as the experiment
-			// engine does before fanning a sweep out.
-			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			strategies, err := sim.NewStrategies([]sim.StrategySpec{
-				sim.MustStrategySpec("eager-publish:lead=3"),
-				sim.MustStrategySpec("stubborn:lead=1,trail=2"),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim.WarmDecisionTables(strategies)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Strategies: strategies,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-eip100", run: func(b *testing.B, parallel int) {
-			// The continuous-time engine with the difficulty feedback
-			// loop closed: exponential inter-arrival sampling, per-block
-			// timestamps, and per-settled-block EIP100 stepping. Must
-			// stay allocation-free in steady state and within a small
-			// factor of the timeless 100k bench.
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Time: sim.TimeConfig{
-						Enabled:    true,
-						Difficulty: difficulty.Params{Rule: difficulty.EIP100},
-					},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-alpha05", run: func(b *testing.B, parallel int) {
-			// The plain half of the fast-forward speedup pair: a small
-			// attacker from the low end of the Fig. 8 sweep, where the race
-			// spends nearly all of its events at the empty-branch origin —
-			// exactly the regime the fast-forward collapses. The reused
-			// Runner keeps both halves of the pair at steady state.
-			pop, err := mining.TwoAgent(0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-fastforward", run: func(b *testing.B, parallel int) {
-			// The same workload with the analytic fast-forward engaged
-			// (the only knob the pair differs in): uneventful honest
-			// stretches collapse to one geometric draw plus a bulk
-			// append. Gated against sim-100k-blocks-alpha05 in the CI
-			// baseline to keep the speedup honest.
-			pop, err := mining.TwoAgent(0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population:  pop,
-					Gamma:       0.5,
-					Blocks:      100000,
-					Seed:        uint64(i),
-					FastForward: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-fig8-alpha045", run: func(b *testing.B, parallel int) {
-			// The costliest Fig. 8 point: alpha 0.45 under the paper's
-			// flat Ku and no uncle depth limit, where races are long and
-			// every event scans open uncle candidates. Tracks the chain
-			// views and referencer lists behind the uncle scan and the
-			// floor purge.
-			pop, err := mining.TwoAgent(0.45)
-			if err != nil {
-				b.Fatal(err)
-			}
-			schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Schedule:   schedule,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-audit-sampled", run: func(b *testing.B, parallel int) {
-			// The invariant auditor at its CI-friendly sampling rate.
-			// The fork-child rescan and conservation settle make audited
-			// events expensive, so sampling must amortize them to a
-			// small overhead on top of the plain 100k bench (the audit
-			// itself allocates; only the unaudited path is gated
-			// allocation-free).
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Audit:      sim.AuditConfig{Enabled: true, SampleEvery: 1024},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "runmany-10x20k", run: func(b *testing.B, parallel int) {
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.RunMany(sim.Config{
-					Population:  pop,
-					Gamma:       0.5,
-					Blocks:      20000,
-					Seed:        uint64(i),
-					Parallelism: parallel,
-				}, 10); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "fig8-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "table2-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Table2(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "strategies-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Strategies(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "poolwars-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.PoolWars(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "profitability-quick", run: func(b *testing.B, parallel int) {
-			// The (rule x gamma x alpha) profitability grid on the
-			// engine-integrated difficulty loop.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Profitability(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "tournament-quick", run: func(b *testing.B, parallel int) {
-			// The round-robin engine over registry specs; part of the
-			// -baseline regression gate alongside the 2-pool sims.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Tournament(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "precision-plain-quick", run: precisionBench(experiments.EstimatorPlain)},
-		{name: "precision-cv-quick", run: precisionBench(experiments.EstimatorControlVariate)},
-		{name: "precision-antithetic-quick", run: precisionBench(experiments.EstimatorAntithetic)},
-		{name: "poolwars-cache-cold", run: func(b *testing.B, parallel int) {
-			// Cold path: a fresh cache every op, so ns/op carries the full
-			// address/miss/store overhead on top of poolwars-quick — the
-			// pair bounds what the cache costs when it never hits.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				opts.Cache = resultcache.NewMemory(0)
-				if _, err := experiments.PoolWars(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "poolwars-cache-warm", run: func(b *testing.B, parallel int) {
-			// Warm path: one prewarmed cache serves every op, so ns/op is
-			// the cost of a fully cached sweep — the speedup over
-			// poolwars-quick is the cache's headline.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			opts.Cache = resultcache.NewMemory(0)
-			if _, err := experiments.PoolWars(opts); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.PoolWars(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "fig8-quick-cache-disk-warm", run: func(b *testing.B, parallel int) {
-			// Disk-warm path: set-up journals a quick Fig. 8 sweep, and
-			// each op reopens the journal and serves the whole sweep from
-			// it, the way `ethselfish -quick -cachedir D fig8` reruns do.
-			// ns/op is the disk tier's cost: Open's decode plus a disk hit
-			// per row.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			dir := b.TempDir()
-			sweep := func() {
-				cache, err := resultcache.Open(dir, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opts.Cache = cache
-				if _, err := experiments.Fig8(opts); err != nil {
-					b.Fatal(err)
-				}
-				if err := cache.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			sweep()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sweep()
-			}
-		}},
-	}
-}
-
-// precisionBench builds a time-to-target-precision workload: one op runs
-// the adaptive precision study at a single alpha under one estimator until
-// its confidence interval closes under the target half-width, so ns/op is
-// the variance-adjusted cost of a fixed precision — lower for estimators
-// with a real variance reduction.
-func precisionBench(est experiments.Estimator) func(b *testing.B, parallel int) {
-	return func(b *testing.B, parallel int) {
-		opts := experiments.Options{Blocks: experiments.QuickBlocks, Parallelism: parallel}
-		pc := experiments.PrecisionConfig{
-			Alphas:       []float64{0.3},
-			Estimators:   []experiments.Estimator{est},
-			TargetRadius: 0.0015,
-			MaxRuns:      64,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Precision(opts, pc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func main() {
+	// testing.Benchmark reports a failed output check through b.Fatal,
+	// which needs the testing package's flags registered.
+	testing.Init()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ethbench:", err)
 		os.Exit(1)
@@ -552,40 +118,21 @@ func run(args []string, w io.Writer) error {
 	}
 
 	var results []Result
-	for _, bench := range benchmarks() {
-		if !strings.Contains(bench.name, *filter) {
+	for _, work := range benchwork.Workloads {
+		if !strings.Contains(work.Name, *filter) {
 			continue
 		}
 		if *list {
-			if _, err := fmt.Fprintln(w, bench.name); err != nil {
+			if _, err := fmt.Fprintln(w, work.Name); err != nil {
 				return err
 			}
 			continue
 		}
-		bench := bench
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			bench.run(b, *parallel)
-		})
+		r := testing.Benchmark(func(b *testing.B) { work.Run(b, *parallel) })
 		if r.N == 0 {
-			return fmt.Errorf("benchmark %s failed", bench.name)
+			return fmt.Errorf("benchmark %s failed (`go test -run=NONE -bench='Workloads/%s$' .` shows why)", work.Name, work.Name)
 		}
-		// A zero -parallel flag means one worker per CPU; record the
-		// resolved count so history entries from different machines (and
-		// flag spellings of the same setup) stay comparable.
-		parallelism := *parallel
-		if parallelism == 0 {
-			parallelism = runtime.GOMAXPROCS(0)
-		}
-		results = append(results, Result{
-			Name:        bench.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			Parallelism: parallelism,
-			GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		})
+		results = append(results, newResult(work.Name, r, *parallel))
 	}
 	if *list {
 		return nil
@@ -604,6 +151,29 @@ func run(args []string, w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(results)
+}
+
+// newResult converts one testing.Benchmark measurement into its JSON row.
+func newResult(name string, r testing.BenchmarkResult, parallel int) Result {
+	// A zero -parallel flag means one worker per CPU; record the resolved
+	// count so history entries from different machines (and flag
+	// spellings of the same setup) stay comparable.
+	if parallel == 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	res := Result{
+		Name:        name,
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+		Parallelism: parallel,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+	}
+	if blocks := r.Extra[benchwork.BlocksMetric]; blocks > 0 {
+		res.NsPerBlock = res.NsPerOp / blocks
+	}
+	return res
 }
 
 // historyEntry is one dated run in the benchmark history file: the full

@@ -5,8 +5,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/ethselfish/ethselfish/internal/benchwork"
 )
 
 func TestListBenchmarks(t *testing.T) {
@@ -14,18 +19,34 @@ func TestListBenchmarks(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"sim-100k-blocks", "fig8-quick", "runmany-10x20k", "fig8-quick-cache-disk-warm"} {
+	for _, name := range []string{"sim-100k-blocks", "fig8-quick", "runmany-10x20k", "fig8-quick-cache-disk-warm", "analyze-facade"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %s:\n%s", name, out.String())
 		}
 	}
 }
 
+// gatedWorkloads pins the workloads each BENCH_GATE_FILTERS entry selects.
+// A workload that joins or leaves the CI baseline gate must change this
+// table as well as the workload list.
+var gatedWorkloads = map[string][]string{
+	"2pools":        {"sim-100k-blocks-2pools", "sim-100k-blocks-2pools-stubborn", "sim-100k-blocks-2pools-table"},
+	"tournament":    {"tournament-quick"},
+	"eip100":        {"sim-100k-blocks-eip100"},
+	"profitability": {"profitability-quick"},
+	"alpha05":       {"sim-100k-blocks-alpha05"},
+	"fastforward":   {"sim-100k-blocks-fastforward"},
+	"cache":         {"poolwars-cache-cold", "poolwars-cache-warm", "fig8-quick-cache-disk-warm"},
+	"1m":            {"sim-1m-blocks"},
+	"fig8-alpha045": {"sim-100k-blocks-fig8-alpha045"},
+}
+
 func TestBenchGateFiltersMatchWorkloads(t *testing.T) {
 	// The Makefile's bench-gate target records and compares one substring
-	// filter at a time; a filter that stops matching any workload would
-	// silently gate nothing. Pin every BENCH_GATE_FILTERS entry against
-	// the live workload registry (-list), the same names the gate runs.
+	// filter at a time. Pin every BENCH_GATE_FILTERS entry against the
+	// live workload registry (-list), the same names the gate runs, so no
+	// workload silently joins or leaves the gate; and every name must be a
+	// unique, valid sub-benchmark name for BenchmarkWorkloads.
 	raw, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
 	if err != nil {
 		t.Fatal(err)
@@ -40,25 +61,47 @@ func TestBenchGateFiltersMatchWorkloads(t *testing.T) {
 			filters = strings.Fields(value)
 		}
 	}
-	if len(filters) == 0 {
-		t.Fatal("no BENCH_GATE_FILTERS assignment found in Makefile")
+	if len(filters) != len(gatedWorkloads) {
+		t.Errorf("BENCH_GATE_FILTERS = %v, want the %d filters of gatedWorkloads", filters, len(gatedWorkloads))
 	}
 	var out bytes.Buffer
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	names := strings.Fields(out.String())
+	valid := regexp.MustCompile(`^[a-z0-9-]+$`)
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] || !valid.MatchString(name) {
+			t.Errorf("workload name %q is duplicated or not of the form %s", name, valid)
+		}
+		seen[name] = true
+	}
 	for _, filter := range filters {
-		matched := false
+		var matched []string
 		for _, name := range names {
 			if strings.Contains(name, filter) {
-				matched = true
-				break
+				matched = append(matched, name)
 			}
 		}
-		if !matched {
-			t.Errorf("bench-gate filter %q matches no workload in -list:\n%s", filter, out.String())
+		if want, ok := gatedWorkloads[filter]; !ok || !slices.Equal(matched, want) {
+			t.Errorf("bench-gate filter %q matches %v, want %v", filter, matched, want)
 		}
+	}
+}
+
+func TestNsPerBlock(t *testing.T) {
+	sim := newResult("sim", testing.BenchmarkResult{N: 4, T: 8 * time.Millisecond,
+		Extra: map[string]float64{benchwork.BlocksMetric: 1000}}, 1)
+	if sim.NsPerBlock != 2000 {
+		t.Errorf("ns per block = %v, want 2000 (2 ms/op over 1000 blocks)", sim.NsPerBlock)
+	}
+	raw, err := json.Marshal(newResult("sweep", testing.BenchmarkResult{N: 1, T: time.Millisecond}, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(raw), "ns_per_block") {
+		t.Errorf("a workload without block events emits ns_per_block: %s", raw)
 	}
 }
 

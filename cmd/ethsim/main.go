@@ -74,7 +74,13 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if *dump != "" {
-		if err := dumpTrace(*dump, *alpha, *gamma, *blocks, *seed, *uncleLimit, *ku, *maxDepth); err != nil {
+		cfg := sim.Config{
+			Gamma:             *gamma,
+			Blocks:            *blocks,
+			Seed:              sim.DeriveSeed(*seed, 0),
+			MaxUnclesPerBlock: *uncleLimit,
+		}
+		if err := dumpTrace(*dump, cfg, *alpha, *miners, *strategy, *ku, *maxDepth); err != nil {
 			return fmt.Errorf("dumping trace: %w", err)
 		}
 		fmt.Fprintf(w, "trace written to %s\n", *dump)
@@ -106,32 +112,35 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// dumpTrace re-runs the first run of the configuration and writes its block
-// tree as JSON.
-func dumpTrace(path string, alpha, gamma float64, blocks int, seed uint64, uncleLimit int, ku float64, maxDepth int) error {
-	pop, err := mining.TwoAgent(alpha)
+// dumpTrace re-runs run 0 of the batch the summary reports, seeded as
+// ethselfish.Simulate's sim.RunMany seeds it (cfg.Seed), and writes its block
+// tree as JSON. It rebuilds the population (ethselfish.WithMiners gives the
+// pool floor(n*alpha) of n equal miners), the strategy and the schedule from
+// the same flags the summary used; cfg carries the rest.
+func dumpTrace(path string, cfg sim.Config, alpha float64, miners int, strategy string, ku float64, maxDepth int) error {
+	var err error
+	if miners > 0 {
+		cfg.Population, err = mining.Equal(miners, int(float64(miners)*alpha))
+	} else {
+		cfg.Population, err = mining.TwoAgent(alpha)
+	}
 	if err != nil {
 		return err
 	}
-	schedule := rewards.Ethereum()
+	if cfg.Strategy, err = sim.ParseStrategy(strategy); err != nil {
+		return err
+	}
+	cfg.Schedule = rewards.Ethereum()
 	if ku >= 0 {
 		depth := maxDepth
 		if depth == 0 {
 			depth = rewards.NoDepthLimit
 		}
-		schedule, err = rewards.Constant(ku, depth)
-		if err != nil {
+		if cfg.Schedule, err = rewards.Constant(ku, depth); err != nil {
 			return err
 		}
 	}
-	_, tree, err := sim.RunTrace(sim.Config{
-		Population:        pop,
-		Gamma:             gamma,
-		Schedule:          schedule,
-		Blocks:            blocks,
-		Seed:              seed*0x9E3779B97F4A7C15 + 0, // first RunMany seed
-		MaxUnclesPerBlock: uncleLimit,
-	})
+	_, tree, err := sim.RunTrace(cfg)
 	if err != nil {
 		return err
 	}

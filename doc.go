@@ -144,10 +144,13 @@
 // each worker reuses one simulator (block tree, uncle arena, candidate
 // window, per-pool branches and occupancy grids, scratch buffers) for
 // every run it executes, resetting rather than re-allocating.
-// cmd/ethbench emits machine-readable benchmark results, a -baseline
-// compare mode (gating ns/op, bytes/op, and allocs/op), a -record mode
-// appending dated entries to the committed benchmark history, and
-// -cpuprofile/-memprofile for pprof output.
+// The benchmark workloads and their output checks are written once, in
+// internal/benchwork: the root package's BenchmarkWorkloads runs them under
+// `go test -bench`, and cmd/ethbench runs the same table and emits
+// machine-readable benchmark results (with ns per block event for the
+// simulator workloads), a -baseline compare mode (gating ns/op, bytes/op,
+// and allocs/op), a -record mode appending dated entries to the committed
+// benchmark history, and -cpuprofile/-memprofile for pprof output.
 //
 // # Settlement
 //

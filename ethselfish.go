@@ -323,7 +323,7 @@ type SimResult struct {
 
 // Simulate runs the event-driven simulator for the given number of block
 // events. Accepted options: WithSchedule, WithSeed, WithRuns,
-// WithUncleLimit, WithMiners.
+// WithUncleLimit, WithMiners, WithStrategy.
 func Simulate(alpha, gamma float64, blocks int, opts ...Option) (SimResult, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
